@@ -54,6 +54,16 @@ kernel backend's contribution is measured by its own pair:
   JIT cost (and JIT cost is never hidden).  When no compiled backend
   is available the pair is skipped and the ratio recorded as null.
 
+* ``monitor_64q_low_sel_push_many_cext{,_noprune}`` — the low-selectivity
+  workload in the shipping configuration: the cext backend, ``push_many``
+  in 40-tick batches, pruning on and off back-to-back per round.  The
+  per-round minimum of the on/off ratio is recorded as
+  ``prune_speedup_cext`` (gated at 1x in CI: pruning must never cost
+  throughput on the compiled batch path), and the two sides' match
+  streams are compared (``prune_cext_identical``).  When cext is
+  unavailable the pair is skipped and the reason recorded as
+  ``prune_speedup_cext_skipped``.
+
 * ``dynnorm_1q_low_sel_{push,push_noprune}`` — the per-window-normalised
   matcher (``DynNormSpring``) on a low-selectivity stream: a distance-0
   affine copy of the query up front arms the best-so-far (the corner
@@ -261,20 +271,27 @@ def _low_selectivity_stream(rng: np.random.Generator, ticks: int) -> List[float]
     return [float(v) for v in np.concatenate([warm, cold])]
 
 
+def _low_selectivity_monitor(
+    rng: np.random.Generator, prune: bool, backend: str, metrics: bool = False
+):
+    from repro.core import StreamMonitor
+
+    monitor = StreamMonitor(history_limit=1024, prune=prune, backend=backend)
+    if metrics:
+        monitor.enable_metrics()
+    monitor.add_stream("s0")
+    for i, query in enumerate(_cold_queries(rng, QUERY_COUNT)):
+        monitor.add_query(f"q{i}", query, epsilon=PRUNE_EPSILON)
+    return monitor
+
+
 def bench_low_selectivity(
     ticks: int,
     rng: np.random.Generator,
     prune: bool,
     metrics: bool = False,
 ) -> Dict[str, float]:
-    from repro.core import StreamMonitor
-
-    monitor = StreamMonitor(history_limit=1024, prune=prune, backend="numpy")
-    if metrics:
-        monitor.enable_metrics()
-    monitor.add_stream("s0")
-    for i, query in enumerate(_cold_queries(rng, QUERY_COUNT)):
-        monitor.add_query(f"q{i}", query, epsilon=PRUNE_EPSILON)
+    monitor = _low_selectivity_monitor(rng, prune, "numpy", metrics)
     stream = _low_selectivity_stream(rng, ticks)
 
     def run() -> int:
@@ -332,6 +349,91 @@ def _prune_pair(repeats: int, ticks: int, seed: int):
         best,
         None if speedup is None else round(speedup, 2),
         None if overhead_pct is None else round(overhead_pct, 2),
+    )
+
+
+#: Ticks per ``push_many`` call in the cext prune pair.
+PRUNE_CEXT_BATCH = 40
+
+
+def bench_low_selectivity_batched(
+    ticks: int, rng: np.random.Generator, prune: bool
+):
+    """The low-selectivity workload on cext, pushed in 40-tick batches.
+
+    Returns the timing row and the match stream, so the pair can check
+    that pruning left the events byte-identical.
+    """
+    monitor = _low_selectivity_monitor(rng, prune, "cext")
+    stream = _low_selectivity_stream(rng, ticks)
+    events = []
+
+    def run() -> int:
+        for lo in range(0, ticks, PRUNE_CEXT_BATCH):
+            events.extend(
+                monitor.push_many("s0", stream[lo:lo + PRUNE_CEXT_BATCH])
+            )
+        return ticks
+
+    row = _timed(run)
+    return row, [
+        (e.query, e.match.start, e.match.end, e.match.distance,
+         e.match.output_time)
+        for e in events
+    ]
+
+
+def _prune_cext_pair(repeats: int, ticks: int, seed: int):
+    """The pruning on/off pair on the cext batch path, noise-robustly.
+
+    Same discipline as :func:`_prune_pair`: each round runs both sides
+    back-to-back and the per-round pruned/unpruned ratios reduce with
+    ``min``.  Returns ``(rows, speedup, identical, skipped)``; with cext
+    unavailable only ``skipped`` (the reason) is set.
+    """
+    from repro.core.backends import available_backends, backend_infos
+
+    if "cext" not in available_backends():
+        detail = next(
+            (info.detail for info in backend_infos() if info.name == "cext"),
+            "cext backend not registered",
+        )
+        return {}, None, None, f"cext unavailable: {detail}"
+    sides = (
+        ("monitor_64q_low_sel_push_many_cext", True),
+        ("monitor_64q_low_sel_push_many_cext_noprune", False),
+    )
+    best = {}
+    speedup = None
+    identical = True
+    for _ in range(repeats):
+        rows, streams = {}, []
+        for name, prune in sides:
+            row, events = bench_low_selectivity_batched(
+                ticks, np.random.default_rng(seed), prune=prune
+            )
+            rows[name] = row
+            streams.append(events)
+            if (
+                name not in best
+                or row["ticks_per_sec"] > best[name]["ticks_per_sec"]
+            ):
+                best[name] = row
+        identical = identical and streams[0] == streams[1]
+        unpruned = rows["monitor_64q_low_sel_push_many_cext_noprune"][
+            "ticks_per_sec"
+        ]
+        if unpruned:
+            ratio = rows["monitor_64q_low_sel_push_many_cext"][
+                "ticks_per_sec"
+            ] / unpruned
+            if speedup is None or ratio < speedup:
+                speedup = ratio
+    return (
+        best,
+        None if speedup is None else round(speedup, 2),
+        identical,
+        None,
     )
 
 
@@ -717,6 +819,12 @@ def run_suite(
     admission_rows, index_admission_speedup = _admission_pair(
         repeats, ticks, seed
     )
+    (
+        prune_cext_rows,
+        prune_speedup_cext,
+        prune_cext_identical,
+        prune_cext_skipped,
+    ) = _prune_cext_pair(repeats, ticks, seed)
     dynnorm_rows, dynnorm_prune_speedup = _dynnorm_pair(repeats, ticks, seed)
     kernel_rows, kernel_speedup, kernel_backend, kernel_warmup = _kernel_pair(
         repeats, ticks, seed
@@ -739,6 +847,7 @@ def run_suite(
         ),
     }
     results.update(prune_rows)
+    results.update(prune_cext_rows)
     results.update(admission_rows)
     results.update(dynnorm_rows)
     results.update(kernel_rows)
@@ -753,6 +862,7 @@ def run_suite(
             "streams": STREAM_COUNT,
             "prune_epsilon": PRUNE_EPSILON,
             "warm_ticks": WARM_TICKS,
+            "prune_cext_batch": PRUNE_CEXT_BATCH,
             "admission_queries": ADMISSION_QUERY_COUNT,
             "admission_group_size": ADMISSION_GROUP_SIZE,
             "dynnorm_query_length": DYNNORM_QUERY_LENGTH,
@@ -774,6 +884,9 @@ def run_suite(
         "metrics_overhead_pct": metrics_overhead_pct,
         "prune_speedup": prune_speedup,
         "metrics_overhead_pruned_pct": metrics_overhead_pruned_pct,
+        "prune_speedup_cext": prune_speedup_cext,
+        "prune_cext_identical": prune_cext_identical,
+        "prune_speedup_cext_skipped": prune_cext_skipped,
         "index_admission_speedup": index_admission_speedup,
         "dynnorm_prune_speedup": dynnorm_prune_speedup,
         "kernel_backend": kernel_backend,
@@ -815,6 +928,16 @@ def main(argv: object = None) -> Path:
     print(f"metrics overhead on push:   {report['metrics_overhead_pct']}%")
     print(f"prune speedup (low-sel):    {report['prune_speedup']}x")
     print(f"metrics overhead (pruned):  {report['metrics_overhead_pruned_pct']}%")
+    if report["prune_speedup_cext"] is None:
+        print(
+            f"prune speedup (cext batch): n/a "
+            f"({report['prune_speedup_cext_skipped']})"
+        )
+    else:
+        print(
+            f"prune speedup (cext batch): {report['prune_speedup_cext']}x "
+            f"(match streams identical: {report['prune_cext_identical']})"
+        )
     print(
         f"index admission speedup:    "
         f"{report['index_admission_speedup']}x "

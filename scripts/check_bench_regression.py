@@ -21,6 +21,12 @@ same run:
   gate fails when it drops below ``--min-prune-speedup`` (default 2),
   an absolute floor rather than a baseline-relative one because the
   ratio is machine-independent by construction.
+* ``prune_speedup_cext`` — the same low-selectivity workload in the
+  shipping configuration (cext backend, 40-tick ``push_many``) with
+  pruning on vs off, gated against ``--min-prune-speedup-cext``
+  (default 1): on the compiled batch path the cascade must never cost
+  throughput.  The gate also fails when the two sides' match streams
+  differ.  Skipped with the recorded reason when cext is unavailable.
 * ``metrics_overhead_pruned_pct`` — the recorder's cost re-measured on
   the pruned path, where each tick does far less work and the
   recorder's fixed per-push cost is proportionally larger; gated
@@ -122,6 +128,14 @@ def main(argv: object = None) -> int:
         default=2.0,
         help="minimum pruned/unpruned throughput ratio on the "
         "low-selectivity 64-query workload (default 2.0)",
+    )
+    parser.add_argument(
+        "--min-prune-speedup-cext",
+        type=float,
+        default=1.0,
+        help="minimum pruned/unpruned throughput ratio on the "
+        "low-selectivity 64-query workload pushed in 40-tick batches "
+        "on cext (default 1.0); skipped when cext is unavailable",
     )
     parser.add_argument(
         "--max-metrics-overhead-pruned",
@@ -267,6 +281,33 @@ def main(argv: object = None) -> int:
             failed = True
         else:
             print("OK: prune speedup above floor")
+
+    prune_speedup_cext = report["prune_speedup_cext"]
+    if prune_speedup_cext is None:
+        print(
+            "no cext prune measurement; skipping cext prune gate "
+            f"({report['prune_speedup_cext_skipped']})"
+        )
+    else:
+        print(
+            f"prune speedup cext     : {prune_speedup_cext:.2f}x "
+            f"(floor {args.min_prune_speedup_cext:.1f}x)"
+        )
+        if not report["prune_cext_identical"]:
+            print(
+                "FAIL: pruning changed the match stream on the cext "
+                "batch path"
+            )
+            failed = True
+        elif prune_speedup_cext < args.min_prune_speedup_cext:
+            print(
+                "FAIL: pruning delivers less than "
+                f"{args.min_prune_speedup_cext:.1f}x on the cext "
+                "push_many path of the low-selectivity workload"
+            )
+            failed = True
+        else:
+            print("OK: cext prune speedup above floor, streams identical")
 
     overhead_pruned = report["metrics_overhead_pruned_pct"]
     if overhead_pruned is None:

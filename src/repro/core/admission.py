@@ -5,8 +5,15 @@ strategy* owns everything the pruning cascade needs per engine — the
 replay ring buffer, the parked set, park positions, and the cascade
 counters — and decides, one stream value at a time, which queries stay
 parked, which wake, and which newly park.  The engine
-(:class:`~repro.core.fused.FusedSpring`) only dispatches the surviving
-hot rows; it no longer hard-wires any admission policy.
+(:class:`~repro.core.fused.FusedSpring`) hard-wires no admission
+policy: per tick it asks :meth:`AdmissionCascade.admit` for the hot
+rows and steps those.  For blocks of values on a bank kernel that
+:attr:`~repro.core.backends.base.BankKernel.runs_admission` (cext), the
+kernel makes the same decisions inside its compiled extend loop instead,
+reading and advancing this module's state in place (the ``native_*``
+interface below); the Python cascade stays the reference for
+:meth:`~repro.core.fused.FusedSpring.step`, the other backends and
+custom strategies.
 
 Two strategies ship, behind the same open registry idiom as the policy
 and backend registries (:func:`register_admission`):
@@ -84,6 +91,26 @@ class AdmissionCascade:
 
     #: Registry name of the strategy (overridden by subclasses).
     kind = "?"
+
+    #: Built-in decision a compiled extend loop reproduces bit-for-bit
+    #: (``"flat"`` or ``"grouped"``); ``None`` keeps the strategy on the
+    #: per-tick :meth:`admit` path.
+    native: Optional[str] = None
+
+    #: Methods whose behaviour the compiled loop reimplements.
+    _NATIVE_HOOKS = (
+        "_admit", "_flat_pass", "tick_missing", "wake_rows", "_replay",
+        "native_index",
+    )
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines part of the decision has no compiled
+        # twin unless it declares one itself.
+        if "native" not in vars(cls) and any(
+            hook in vars(cls) for hook in cls._NATIVE_HOOKS
+        ):
+            cls.native = None
 
     def __init__(self, engine, capacity: int, group_size: int) -> None:
         self.engine = engine
@@ -274,6 +301,47 @@ class AdmissionCascade:
         self._parked_set_changed()
 
     # ------------------------------------------------------------------
+    # Compiled extend loop (BankKernel.extend_pruned)
+    # ------------------------------------------------------------------
+
+    def native_index(self) -> Optional[GroupEnvelopeIndex]:
+        """The group index the compiled tier-1 test reads: ``None`` for
+        flat admission and while nothing is parked."""
+        return None
+
+    def native_state(self) -> Tuple[int, ...]:
+        """Scalar state a compiled loop advances: values pushed to the
+        ring, parked count, then the five counters in
+        :meth:`state_dict` order.  Ring slots, :attr:`parked` and
+        :attr:`park_pos` are shared with the loop in place."""
+        return (
+            self.buffer.total_pushed,
+            self.n_parked,
+            self.pruned_ticks,
+            self.replays,
+            self.replayed_ticks,
+            self.groups_certified,
+            self.group_descents,
+        )
+
+    def native_commit(self, state, changed: bool) -> None:
+        """Adopt the :meth:`native_state` a compiled loop returned;
+        ``changed`` reports a parked-set change (the group index is
+        rebuilt before the next tick that needs it)."""
+        (
+            count,
+            self.n_parked,
+            self.pruned_ticks,
+            self.replays,
+            self.replayed_ticks,
+            self.groups_certified,
+            self.group_descents,
+        ) = state
+        self.buffer.advance_to(count)
+        if changed:
+            self._parked_set_changed()
+
+    # ------------------------------------------------------------------
     # Snapshot / restore (strategy-independent payload)
     # ------------------------------------------------------------------
 
@@ -339,6 +407,7 @@ class FlatAdmission(AdmissionCascade):
     """The PR-5 cascade: one O(1) corridor check per query per tick."""
 
     kind = "flat"
+    native = "flat"
 
     def _admit(self, x: float) -> Tuple[Optional[np.ndarray], int]:
         self.buffer.push(x)
@@ -358,11 +427,18 @@ class GroupedAdmission(AdmissionCascade):
     """
 
     kind = "grouped"
+    native = "grouped"
 
     def __init__(self, engine, capacity: int, group_size: int) -> None:
         super().__init__(engine, capacity, group_size)
         self._index: Optional[GroupEnvelopeIndex] = None
         self._index_dirty = True
+
+    def native_index(self) -> Optional[GroupEnvelopeIndex]:
+        # The compiled loop hands back after every tick that changes the
+        # parked set, so the index is rebuilt exactly where the per-tick
+        # path's lazy rebuild happens.
+        return self._parked_index() if self.n_parked else None
 
     def _parked_set_changed(self) -> None:
         self._index_dirty = True

@@ -13,7 +13,8 @@ inner loops that dominate the per-tick cost of SPRING:
   of :class:`~repro.core.fused.FusedSpring` (local cost + column
   recurrence + Figure-4 report logic in one call), which is where
   compiled backends earn their keep: one foreign call per tick instead
-  of a dozen numpy dispatches.
+  of a dozen numpy dispatches — or per batch, admission cascade
+  included, where the kernel :attr:`~BankKernel.runs_admission`.
 
 **Exactness contract.**  A backend is only correct if it is *bit-exact*
 against the NumPy reference: identical float64 results for every
@@ -79,6 +80,11 @@ class BankKernel:
 
     __slots__ = ("_emit_q", "_emit_d", "_emit_ts", "_emit_te", "_emit_t")
 
+    #: Whether :meth:`extend_pruned` runs the admission cascade inside
+    #: the compiled loop.  Engines on kernels without it keep the
+    #: per-tick Python cascade for pruned blocks.
+    runs_admission = False
+
     def __init__(self, q: int) -> None:
         # One slot per query suffices for a single tick (a query emits
         # at most one confirmation per tick); extend() batches up to
@@ -130,6 +136,25 @@ class BankKernel:
         ``skip`` marks ticks that advance time without a column update
         (the ``missing="skip"`` policy); emissions come back flattened
         in (tick, query-index) order, identical to per-tick stepping.
+        """
+        raise NotImplementedError
+
+    def extend_pruned(
+        self, xs: np.ndarray, skip: np.ndarray, cascade
+    ) -> List[Tuple[int, Match]]:
+        """:meth:`extend` with the admission cascade inside the loop.
+
+        Per tick, the kernel makes the decision of ``cascade`` (a
+        :class:`~repro.core.admission.AdmissionCascade` whose ``native``
+        names a built-in strategy): push the value to the replay ring,
+        wake parked rows by replay (tripwire kept) or deep wake, park
+        newly cold rows, then step and report the hot rows.  Ring
+        slots, the parked mask and park positions are written in place;
+        the scalar state goes through ``native_state`` /
+        ``native_commit``.  The result — emissions, columns, cascade
+        state and counters — is byte-identical to feeding each value
+        through ``cascade.admit`` and the hot-row step.  Only kernels
+        with :attr:`runs_admission` implement it.
         """
         raise NotImplementedError
 

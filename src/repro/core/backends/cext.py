@@ -52,6 +52,16 @@ bit-identical because mask blends select operand bits verbatim.  A
 scalar branch-free fallback (`row_sweep_one`) handles odd tails and
 non-SSE2 targets.
 
+**Pruned batches.**  `spring_extend_pruned` runs the admission cascade
+of :mod:`repro.core.admission` inside the extend loop — ring push,
+corridor test (flat, or grouped with descent), wake by replay with the
+certification tripwire or by deep wake, parking, then the hot-row sweep
+and report — making the Python cascade's decisions in its order.  It
+reads and advances the cascade's arrays in place through a second
+parameter block (the ``_AP_*`` slots) and hands control back after any
+grouped tick that changed the parked set, so the group index is rebuilt
+before the next tick.
+
 A self-test at load time re-derives a column update on an adversarial
 case (ties, infinities, NaN costs, NaN already in ``d``) and compares
 *bytes* (after canonicalising NaN payloads) against the NumPy
@@ -112,6 +122,32 @@ _PP_SCR_I = 22  # int64_t* (3Q,) column-sweep chain state (src/start/diag_s)
 _PP_YT = 23  # double*  (m_max, Q) transposed query bank (vector sweep)
 _PP_SLOTS = 24
 
+# Admission-block slots of the pruned extend loop.  Array addresses are
+# bound once per cascade (ring and group index again when they are
+# replaced); the seven state scalars (_AP_STATE onwards, in
+# AdmissionCascade.native_state order) are loaded before each call and
+# committed back after it.  Must mirror the AP_* defines in the C source.
+_AP_GROUPED = 0  # 0 flat cascade, 1 grouped (tiered) cascade
+_AP_RING = 1  # double*  replay ring storage
+_AP_CAP = 2  # ring capacity
+_AP_PARKED = 3  # bool*    (Q,) parked mask
+_AP_PARK_POS = 4  # int64_t* (Q,) ring position each parked row stopped at
+_AP_LO = 5  # double*  (Q,) corridor lower bounds
+_AP_HI = 6  # double*  (Q,) corridor upper bounds
+_AP_SCRATCH = 7  # int64_t* (3Q,) woken rows / hot rows / park positions
+_AP_G_COUNT = 8  # groups in the parked index (0: no index)
+_AP_G_SIZE = 9  # members per group
+_AP_G_MEMBERS = 10  # rows in the index
+_AP_G_ROWS = 11  # int64_t* member rows in index order
+_AP_G_LO = 12  # double*  per-group merged corridor
+_AP_G_HI = 13
+_AP_G_EPS = 14  # double*  per-group loosest threshold
+_AP_STATE = 15  # in/out: values pushed, parked count, the five counters
+_AP_N_EMIT = 22  # out: emissions buffered by the call
+_AP_CHANGED = 23  # out: the parked set changed
+_AP_VIOLATION = 24  # out: the replay tripwire fired
+_AP_SLOTS = 25
+
 _SOURCE = r"""
 /* SPRING hot kernels — bit-exact C replication of the NumPy min-plus
  * scan (see repro/core/state.py) plus the fused Figure-4 report logic
@@ -122,6 +158,7 @@ _SOURCE = r"""
  * Python-side declarations stay uniform on LP64 platforms.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 #ifdef __SSE2__
@@ -152,6 +189,33 @@ _SOURCE = r"""
 #define PP_SCR_F 21
 #define PP_SCR_I 22
 #define PP_YT 23
+
+/* Admission block of the pruned extend loop (mirrors the _AP_* slots). */
+#define AP_GROUPED 0
+#define AP_RING 1
+#define AP_CAP 2
+#define AP_PARKED 3
+#define AP_PARK_POS 4
+#define AP_LO 5
+#define AP_HI 6
+#define AP_SCRATCH 7
+#define AP_G_COUNT 8
+#define AP_G_SIZE 9
+#define AP_G_MEMBERS 10
+#define AP_G_ROWS 11
+#define AP_G_LO 12
+#define AP_G_HI 13
+#define AP_G_EPS 14
+#define AP_COUNT 15
+#define AP_NPARKED 16
+#define AP_PRUNED 17
+#define AP_REPLAYS 18
+#define AP_REPLAYED 19
+#define AP_G_CERT 20
+#define AP_G_DESC 21
+#define AP_N_EMIT 22
+#define AP_CHANGED 23
+#define AP_VIOLATION 24
 
 #define DPTR(a) ((double *)(intptr_t)(a))
 #define IPTR(a) ((int64_t *)(intptr_t)(a))
@@ -455,21 +519,26 @@ static int64_t row_report(const int64_t *pp, int64_t qi, int64_t n_emit) {
     return n_emit;
 }
 
+/* Column update plus report for all queries (rows == 0) or a hot
+ * subset (ascending row indices), appending emissions after `n_emit`.
+ * Returns the updated emission count. */
+static int64_t step_report(const int64_t *pp, double x, int64_t nrows,
+                           const int64_t *rows, int64_t n_emit) {
+    int64_t n = rows ? nrows : pp[PP_Q];
+    bank_update_sweep(pp, x, nrows, rows);
+    for (int64_t r = 0; r < n; r++) {
+        n_emit = row_report(pp, rows ? rows[r] : r, n_emit);
+    }
+    return n_emit;
+}
+
 /* One stream tick for all queries (rows_addr == 0) or a hot subset
  * (ascending row indices).  Increments the tick counters itself.
  * Returns the number of buffered emissions. */
 int64_t spring_step_bank(int64_t pp_addr, double x, int64_t nrows,
                          int64_t rows_addr) {
-    const int64_t *pp = IPTR(pp_addr);
     const int64_t *rows = rows_addr ? IPTR(rows_addr) : 0;
-    int64_t n = rows ? nrows : pp[PP_Q];
-    bank_update_sweep(pp, x, nrows, rows);
-    int64_t n_emit = 0;
-    for (int64_t r = 0; r < n; r++) {
-        int64_t qi = rows ? rows[r] : r;
-        n_emit = row_report(pp, qi, n_emit);
-    }
-    return n_emit;
+    return step_report(IPTR(pp_addr), x, nrows, rows, 0);
 }
 
 /* A block of stream ticks for all queries.  skip[t] != 0 advances time
@@ -493,12 +562,211 @@ int64_t spring_extend_bank(int64_t pp_addr, int64_t xs_addr,
             for (int64_t qi = 0; qi < q; qi++) ticks[qi]++;
             continue;
         }
-        bank_update_sweep(pp, xs[t], 0, 0);
-        for (int64_t qi = 0; qi < q; qi++) {
-            n_emit = row_report(pp, qi, n_emit);
-        }
+        n_emit = step_report(pp, xs[t], 0, 0, n_emit);
     }
     IPTR(n_emit_addr)[0] = n_emit;
+    return t;
+}
+
+/* Corridor admission bound of one query (or merged group) for a scalar
+ * x: repro.dtw.lower_bounds.lb_corridor.  max-then-min clamp == np.clip. */
+static inline double corridor_lb(int64_t kind, double x, double lo,
+                                 double hi) {
+    double cl = x;
+    if (cl < lo) cl = lo;
+    if (cl > hi) cl = hi;
+    double delta = x - cl;
+    return kind == 0 ? delta * delta : fabs(delta);
+}
+
+static int cmp_i64(const void *a, const void *b) {
+    int64_t u = *(const int64_t *)a, v = *(const int64_t *)b;
+    return (u > v) - (u < v);
+}
+
+/* Wake the parked `rows[0..k)` before ring position `total` is
+ * processed — AdmissionCascade.wake_rows.  A span the ring still holds
+ * is replayed value by value, re-checking the park certificate after
+ * every applied value (any capture or best-match update is a
+ * certification violation: returns 1 with the engine state
+ * undefined); a span that outgrew the ring wakes through the reset
+ * representation.  `replays` counts distinct park positions. */
+static int wake_rows(const int64_t *pp, int64_t *ap, const int64_t *rows,
+                     int64_t k, int64_t total, int64_t *pos) {
+    const double *ring = DPTR(ap[AP_RING]);
+    int64_t cap = ap[AP_CAP];
+    unsigned char *parked = (unsigned char *)(intptr_t)ap[AP_PARKED];
+    const int64_t *park_pos = IPTR(ap[AP_PARK_POS]);
+    int64_t mmax = pp[PP_MMAX], stride = mmax + 1;
+    double *dd = DPTR(pp[PP_D]);
+    int64_t *ticks = IPTR(pp[PP_TICKS]);
+    const int64_t *mlen = IPTR(pp[PP_MLEN]);
+    const double *eps = DPTR(pp[PP_EPS]);
+    const double *best = DPTR(pp[PP_BEST_D]);
+    int64_t n_pos = 0;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t r = rows[i];
+        int64_t p = park_pos[r];
+        int64_t span = total - 1 - p;
+        parked[r] = 0;
+        ap[AP_NPARKED]--;
+        if (span <= 0) continue;
+        if (total - p > cap) {
+            double *d = dd + r * stride;
+            for (int64_t c = 1; c <= mmax; c++) d[c] = HUGE_VAL;
+            ticks[r] += span;
+            continue;
+        }
+        pos[n_pos++] = p;
+        ap[AP_REPLAYED] += span;
+        const double *dm = dd + r * stride + mlen[r];
+        for (int64_t tk = p + 1; tk < total; tk++) {
+            double v = ring[(tk - 1) % cap];
+            if (v != v) { /* skipped reading: time advances, column holds */
+                ticks[r]++;
+                continue;
+            }
+            row_sweep_one(pp, v, r);
+            if (*dm <= eps[r] || *dm < best[r]) return 1;
+        }
+    }
+    if (n_pos > 1) qsort(pos, (size_t)n_pos, sizeof(int64_t), cmp_i64);
+    for (int64_t i = 0; i < n_pos; i++) {
+        if (i == 0 || pos[i] != pos[i - 1]) ap[AP_REPLAYS]++;
+    }
+    return 0;
+}
+
+/* A block of stream ticks with the admission cascade inside the loop:
+ * per tick, push the value to the replay ring, wake parked rows whose
+ * corridor bound dipped to eps (flat: one test per parked row; grouped:
+ * one merged-envelope test per index group, exact member tests only
+ * below uncertified groups), park hot rows the bound certifies cold
+ * (no pending optimum, best-so-far <= eps), then update and report the
+ * hot rows.  The same decisions, in the same order, as
+ * AdmissionCascade.admit followed by the hot-row kernel step; skip[t]
+ * marks a NaN reading (FlatAdmission.tick_missing).
+ *
+ * Stops early when the emission buffer could not hold another full
+ * tick, when a grouped tick changed the parked set (the caller rebuilds
+ * the index before the next tick), or when the replay tripwire fires
+ * (AP_VIOLATION).  Returns the number of ticks consumed. */
+int64_t spring_extend_pruned(int64_t pp_addr, int64_t ap_addr,
+                             int64_t xs_addr, int64_t skip_addr, int64_t n) {
+    const int64_t *pp = IPTR(pp_addr);
+    int64_t *ap = IPTR(ap_addr);
+    int64_t q = pp[PP_Q], kind = pp[PP_KIND];
+    const double *xs = DPTR(xs_addr);
+    const unsigned char *skip = (const unsigned char *)(intptr_t)skip_addr;
+    const double *eps = DPTR(pp[PP_EPS]);
+    const double *dmin = DPTR(pp[PP_DMIN]);
+    const double *best = DPTR(pp[PP_BEST_D]);
+    int64_t *ticks = IPTR(pp[PP_TICKS]);
+    double *ring = DPTR(ap[AP_RING]);
+    int64_t cap = ap[AP_CAP];
+    unsigned char *parked = (unsigned char *)(intptr_t)ap[AP_PARKED];
+    int64_t *park_pos = IPTR(ap[AP_PARK_POS]);
+    const double *lo = DPTR(ap[AP_LO]), *hi = DPTR(ap[AP_HI]);
+    int64_t grouped = ap[AP_GROUPED];
+    int64_t *woke = IPTR(ap[AP_SCRATCH]);
+    int64_t *hot = woke + q;
+    int64_t *pos = woke + 2 * q;
+    int64_t emit_cap = pp[PP_EMIT_CAP];
+    int64_t n_emit = 0;
+    int64_t t = 0;
+    ap[AP_CHANGED] = 0;
+    ap[AP_VIOLATION] = 0;
+    for (; t < n; t++) {
+        if (n_emit + q > emit_cap) break;
+        int64_t n_parked = ap[AP_NPARKED];
+        if (skip[t]) {
+            /* A missing reading never wakes or parks anything. */
+            ring[ap[AP_COUNT] % cap] = NAN;
+            ap[AP_COUNT]++;
+            if (n_parked < q) {
+                for (int64_t qi = 0; qi < q; qi++) ticks[qi] += !parked[qi];
+            }
+            ap[AP_PRUNED] += n_parked;
+            continue;
+        }
+        double x = xs[t];
+        ring[ap[AP_COUNT] % cap] = x;
+        int64_t total = ++ap[AP_COUNT];
+        int changed = 0;
+        if (n_parked) {
+            int64_t n_woke = 0;
+            if (grouped) {
+                int64_t ng = ap[AP_G_COUNT], gs = ap[AP_G_SIZE];
+                int64_t members = ap[AP_G_MEMBERS];
+                const int64_t *grows = IPTR(ap[AP_G_ROWS]);
+                const double *glo = DPTR(ap[AP_G_LO]);
+                const double *ghi = DPTR(ap[AP_G_HI]);
+                const double *geps = DPTR(ap[AP_G_EPS]);
+                int64_t certified = 0;
+                for (int64_t g = 0; g < ng; g++) {
+                    if (corridor_lb(kind, x, glo[g], ghi[g]) > geps[g]) {
+                        certified++;
+                        continue;
+                    }
+                    int64_t end = (g + 1) * gs < members ? (g + 1) * gs : members;
+                    for (int64_t p = g * gs; p < end; p++) {
+                        int64_t r = grows[p];
+                        if (!(corridor_lb(kind, x, lo[r], hi[r]) > eps[r])) {
+                            woke[n_woke++] = r;
+                        }
+                    }
+                }
+                ap[AP_G_CERT] += certified;
+                ap[AP_G_DESC] += ng - certified;
+            } else {
+                for (int64_t qi = 0; qi < q; qi++) {
+                    if (parked[qi]
+                        && !(corridor_lb(kind, x, lo[qi], hi[qi]) > eps[qi])) {
+                        woke[n_woke++] = qi;
+                    }
+                }
+            }
+            if (n_woke) {
+                changed = 1;
+                if (wake_rows(pp, ap, woke, n_woke, total, pos)) {
+                    ap[AP_CHANGED] = 1;
+                    ap[AP_VIOLATION] = 1;
+                    break;
+                }
+                n_parked = ap[AP_NPARKED];
+            }
+            if (n_parked == q) {
+                ap[AP_PRUNED] += q;
+                continue;
+            }
+        }
+        int64_t n_hot = 0;
+        for (int64_t qi = 0; qi < q; qi++) {
+            if (parked[qi]) continue;
+            if (corridor_lb(kind, x, lo[qi], hi[qi]) > eps[qi]
+                && !isfinite(dmin[qi]) && best[qi] <= eps[qi]) {
+                parked[qi] = 1;
+                park_pos[qi] = total - 1;
+                n_parked++;
+                changed = 1;
+            } else {
+                hot[n_hot++] = qi;
+            }
+        }
+        ap[AP_NPARKED] = n_parked;
+        ap[AP_PRUNED] += n_parked;
+        if (n_hot) {
+            n_emit = step_report(pp, x, n_hot, n_hot == q ? 0 : hot, n_emit);
+        }
+        if (changed) {
+            ap[AP_CHANGED] = 1;
+            if (grouped) {
+                t++;
+                break;
+            }
+        }
+    }
+    ap[AP_N_EMIT] = n_emit;
     return t;
 }
 
@@ -529,19 +797,13 @@ void spring_update_column(int64_t m, int64_t d_in, int64_t s_in,
 }
 
 /* Corridor admission bound: repro.dtw.lower_bounds.lb_corridor for a
- * scalar x against per-query corridors.  max-then-min clamp == np.clip. */
+ * scalar x against per-query corridors. */
 void spring_lb_corridor(double x, int64_t lo_addr, int64_t hi_addr,
                         int64_t q, int64_t kind, int64_t out_addr) {
     const double *lo = DPTR(lo_addr);
     const double *hi = DPTR(hi_addr);
     double *out = DPTR(out_addr);
-    for (int64_t i = 0; i < q; i++) {
-        double cl = x;
-        if (cl < lo[i]) cl = lo[i];
-        if (cl > hi[i]) cl = hi[i];
-        double delta = x - cl;
-        out[i] = kind == 0 ? delta * delta : fabs(delta);
-    }
+    for (int64_t i = 0; i < q; i++) out[i] = corridor_lb(kind, x, lo[i], hi[i]);
 }
 
 /* Tiered-admission group certification: the corridor bound against the
@@ -556,12 +818,7 @@ void spring_group_corridor(double x, int64_t lo_addr, int64_t hi_addr,
     const double *eps = DPTR(eps_addr);
     unsigned char *out = (unsigned char *)(intptr_t)(out_addr);
     for (int64_t i = 0; i < g; i++) {
-        double cl = x;
-        if (cl < lo[i]) cl = lo[i];
-        if (cl > hi[i]) cl = hi[i];
-        double delta = x - cl;
-        double lb = kind == 0 ? delta * delta : fabs(delta);
-        out[i] = lb > eps[i] ? 1 : 0;
+        out[i] = corridor_lb(kind, x, lo[i], hi[i]) > eps[i] ? 1 : 0;
     }
 }
 """
@@ -619,6 +876,8 @@ def _build_library(compiler: str) -> Tuple[ctypes.CDLL, str]:
     lib.spring_step_bank.argtypes = [i64, f64, i64, i64]
     lib.spring_extend_bank.restype = i64
     lib.spring_extend_bank.argtypes = [i64, i64, i64, i64, i64]
+    lib.spring_extend_pruned.restype = i64
+    lib.spring_extend_pruned.argtypes = [i64, i64, i64, i64, i64]
     lib.spring_update_columns.restype = None
     lib.spring_update_columns.argtypes = [i64] * 8
     lib.spring_update_column.restype = None
@@ -691,10 +950,31 @@ def _self_test(backend: "CExtBackend") -> None:
             raise RuntimeError("compiled group corridor diverges from numpy")
 
 
+def _address(arr: np.ndarray, dtype, size: Optional[int] = None) -> int:
+    """Base address of a 1-D array the compiled loop reads or writes,
+    after checking its dtype, contiguity and (optionally) length."""
+    if (
+        arr.dtype != dtype
+        or arr.ndim != 1
+        or not arr.flags["C_CONTIGUOUS"]
+        or (size is not None and arr.shape[0] != size)
+    ):
+        raise ValidationError(
+            f"admission array of dtype {arr.dtype} and shape {arr.shape} "
+            f"does not fit the bank kernel"
+        )
+    return arr.ctypes.data
+
+
 class _CExtBankKernel(BankKernel):
     """Fused-step kernel bound to one ``FusedSpring`` via a param block."""
 
-    __slots__ = ("_lib", "_q", "_pp", "_pp_addr", "_scr_f", "_scr_i", "_yt")
+    __slots__ = (
+        "_lib", "_q", "_pp", "_pp_addr", "_scr_f", "_scr_i", "_yt",
+        "_ap", "_ap_addr", "_scr_adm", "_cascade", "_ring", "_index",
+    )
+
+    runs_admission = True
 
     def __init__(self, lib: ctypes.CDLL, engine) -> None:
         bank = engine.bank
@@ -741,6 +1021,17 @@ class _CExtBankKernel(BankKernel):
         self._pp = pp  # keeps the block alive; addresses stay valid
         self._pp_addr = int(pp.ctypes.data)
 
+        ap = np.zeros(_AP_SLOTS, dtype=np.int64)
+        self._scr_adm = np.empty(3 * bank.q, dtype=np.int64)
+        ap[_AP_LO] = bank.corridor_lo.ctypes.data
+        ap[_AP_HI] = bank.corridor_hi.ctypes.data
+        ap[_AP_SCRATCH] = self._scr_adm.ctypes.data
+        self._ap = ap
+        self._ap_addr = int(ap.ctypes.data)
+        self._cascade = None
+        self._ring = None
+        self._index = None
+
     def step(self, x: float):
         n = self._lib.spring_step_bank(self._pp_addr, x, 0, 0)
         return self.collect(n) if n else []
@@ -770,6 +1061,64 @@ class _CExtBankKernel(BankKernel):
             count = int(n_emit[0])
             if count:
                 out.extend(self.collect(count))
+            if consumed <= 0:  # pragma: no cover - cap >= q guarantees progress
+                raise RuntimeError("extend kernel made no progress")
+            pos += consumed
+        return out
+
+    def extend_pruned(self, xs: np.ndarray, skip: np.ndarray, cascade):
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        skip = np.ascontiguousarray(skip, dtype=np.uint8)
+        ap = self._ap
+        if cascade is not self._cascade:
+            # The parked mask and park positions are mutated in place
+            # for the cascade's lifetime.
+            ap[_AP_GROUPED] = cascade.native == "grouped"
+            ap[_AP_PARKED] = _address(cascade.parked, np.bool_, self._q)
+            ap[_AP_PARK_POS] = _address(cascade.park_pos, np.int64, self._q)
+            self._cascade = cascade
+            self._ring = self._index = None
+        out: List[Tuple[int, object]] = []
+        n = int(xs.shape[0])
+        pos = 0
+        while pos < n:
+            ring = cascade.buffer.storage  # replaced on checkpoint restore
+            if ring is not self._ring:
+                ap[_AP_RING] = _address(ring, np.float64)
+                ap[_AP_CAP] = ring.shape[0]
+                self._ring = ring
+            index = cascade.native_index()  # rebuilt after parked-set changes
+            if index is None:
+                ap[_AP_G_COUNT] = 0
+            elif index is not self._index:
+                n_groups = index.n_groups
+                ap[_AP_G_COUNT] = n_groups
+                ap[_AP_G_SIZE] = index.group_size
+                ap[_AP_G_MEMBERS] = index.rows.shape[0]
+                ap[_AP_G_ROWS] = _address(index.rows, np.int64)
+                ap[_AP_G_LO] = _address(index.lo, np.float64, n_groups)
+                ap[_AP_G_HI] = _address(index.hi, np.float64, n_groups)
+                ap[_AP_G_EPS] = _address(index.eps, np.float64, n_groups)
+            self._index = index  # keeps the bound arrays alive
+            ap[_AP_STATE:_AP_N_EMIT] = cascade.native_state()
+            consumed = self._lib.spring_extend_pruned(
+                self._pp_addr,
+                self._ap_addr,
+                xs[pos:].ctypes.data,
+                skip[pos:].ctypes.data,
+                n - pos,
+            )
+            count = int(ap[_AP_N_EMIT])
+            if count:
+                out.extend(self.collect(count))
+            cascade.native_commit(
+                ap[_AP_STATE:_AP_N_EMIT].tolist(), bool(ap[_AP_CHANGED])
+            )
+            if ap[_AP_VIOLATION]:
+                raise RuntimeError(
+                    "pruning certification violated: a parked span "
+                    "produced a capture or best-match update at replay"
+                )
             if consumed <= 0:  # pragma: no cover - cap >= q guarantees progress
                 raise RuntimeError("extend kernel made no progress")
             pos += consumed

@@ -298,8 +298,9 @@ class FusedSpring:
         # every moment (which is what makes write_back/checkpointing of
         # parked rows trivially correct).  The machinery itself — the
         # replay buffer, the parked set, and the per-tick decision —
-        # lives in the admission cascade (repro.core.admission); this
-        # engine only dispatches the hot rows it is handed.
+        # lives in the admission cascade (repro.core.admission): step()
+        # dispatches the hot rows it hands back, and extend() on a kernel
+        # that runs admission natively makes the same decisions in-kernel.
         self._prune_kind = canonical_distance_name(bank.distance)
         if prune_buffer is not None and int(prune_buffer) < 1:
             raise ValidationError(
@@ -322,6 +323,15 @@ class FusedSpring:
         # on (the numpy fallback that rebinds `_d`/`_s` never runs while
         # a kernel is attached).
         self._kernel = self._backend.bank_kernel(self)
+        # Whether pruned blocks run as one compiled call per batch, the
+        # cascade included (a built-in strategy on a kernel that
+        # implements it); otherwise extend() steps the cascade per tick.
+        self._native_prune = (
+            self._prune
+            and self._kernel is not None
+            and self._kernel.runs_admission
+            and self._admission.native is not None
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -563,8 +573,12 @@ class FusedSpring:
 
         The ``(block, Q, m)`` cost slab for a chunk of the stream is one
         numpy broadcast; the per-tick recurrence then runs over the block
-        without re-validating or re-dispatching per value.  Equivalent to
-        calling :meth:`step` per value.
+        without re-validating or re-dispatching per value.  A compiled
+        kernel takes the whole block in one call — with pruning on too,
+        admission included, when it runs admission natively
+        (``BankKernel.runs_admission``: cext); other pruned engines step
+        the cascade per tick.  Equivalent to calling :meth:`step` per
+        value.
         """
         try:
             arr = np.asarray(values, dtype=np.float64)
@@ -585,13 +599,24 @@ class FusedSpring:
 
         matches: List[Tuple[int, Match]] = []
         if self._prune:
-            # The admission cascade already makes parked ticks nearly
-            # free, and the blocked cost slab saves little on the hot
-            # remainder — route through the pruned per-tick path so the
-            # cold bookkeeping stays exact.
-            for t in range(stop):
-                x = None if nan_rows[t] else np.float64(arr[t])
-                matches.extend(self._step_pruned(x))
+            if self._native_prune:
+                # One compiled call per batch: admission, wake/replay
+                # (tripwire kept) and the hot-row step run in-kernel,
+                # making exactly the per-tick cascade's decisions.
+                skip = nan_rows[:stop].astype(np.uint8)
+                run = self._kernel.extend_pruned
+                tracer = tracing.ACTIVE
+                if tracer is None:
+                    matches.extend(run(arr[:stop], skip, self._admission))
+                else:
+                    with tracer.span("kernel.extend_bank"):
+                        matches.extend(run(arr[:stop], skip, self._admission))
+            else:
+                # No native pruned loop (numpy/numba kernels, custom
+                # distances or strategies): the Python cascade per tick.
+                for t in range(stop):
+                    x = None if nan_rows[t] else np.float64(arr[t])
+                    matches.extend(self._step_pruned(x))
             if stop < arr.shape[0]:
                 tick = self._stream_tick0() + 1
                 raise bad_value_error(tick, bool(nan_rows[stop]), matches)

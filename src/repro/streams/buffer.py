@@ -57,6 +57,20 @@ class RingBuffer:
         return self._count
 
     @property
+    def storage(self) -> np.ndarray:
+        """The backing array: tick ``t`` lives at slot ``(t - 1) % capacity``.
+
+        For compiled writers that fill slots in place and then declare
+        them with :meth:`advance_to`.
+        """
+        return self._data
+
+    def advance_to(self, count: int) -> None:
+        """Declare every value up to absolute tick ``count`` written
+        through :attr:`storage`."""
+        self._count = int(count)
+
+    @property
     def oldest_tick(self) -> int:
         """Absolute 1-based tick of the oldest retained value."""
         if self._count == 0:

@@ -88,6 +88,32 @@ class TestRegistry:
             module._REGISTRY.pop("test-custom")
 
 
+    def test_custom_decision_keeps_the_per_tick_path(self):
+        """A strategy that redefines the decision never runs through a
+        compiled loop that would reproduce the built-in one instead."""
+
+        class NeverPark(FlatAdmission):
+            kind = "test-never-park"
+
+            def _admit(self, x):
+                self.buffer.push(x)
+                return np.ones(self.engine.q, dtype=bool), self.engine.q
+
+        assert FlatAdmission.native == "flat"
+        assert GroupedAdmission.native == "grouped"
+        assert NeverPark.native is None
+        register_admission("test-never-park", NeverPark)
+        try:
+            engine = _engine("test-never-park")
+            assert not engine._native_prune
+            engine.extend(WARM + [0.0] * 20)
+            assert not engine.parked.any()
+        finally:
+            from repro.core import admission as module
+
+            module._REGISTRY.pop("test-never-park")
+
+
 class TestAutoSelection:
     def test_small_bank_goes_flat(self):
         assert _engine().admission_kind == "flat"

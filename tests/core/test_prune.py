@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import FusedSpring, QueryBank, Spring, StreamMonitor
+from repro.core.backends import available_backends
 from repro.core.checkpoint import load_monitor, save_monitor
 from repro.exceptions import CheckpointError, ValidationError
 
@@ -92,6 +93,23 @@ class TestParkLifecycle:
         np.testing.assert_array_equal(
             engine._ticks, np.full(len(QUERIES), len(stream) + 1)
         )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("admission", ["flat", "grouped"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_replay_tripwire_fires(self, backend, admission, batched):
+        """A replayed span that would move a best match is a broken
+        park certificate: every path raises, the compiled loop too."""
+        engine = _pruned(prune_buffer=64, backend=backend, admission=admission)
+        for value in WARM + [0.0] * 6:
+            engine.step(value)
+        assert engine.parked.all()
+        engine._best_d[0] = np.inf  # any replayed d_m now undercuts it
+        with pytest.raises(RuntimeError, match="pruning certification violated"):
+            if batched:
+                engine.extend([0.0, 100.0])
+            else:
+                engine.step(100.0)
 
     def test_nan_never_wakes(self):
         engine = _pruned()

@@ -166,6 +166,57 @@ def test_pruned_engine_parity(name, queries, stream, buffer_size):
     _assert_engine_states_equal(reference, compiled)
 
 
+@pytest.mark.parametrize("name", COMPILED)
+@pytest.mark.parametrize("admission", ["flat", "grouped"])
+@settings(max_examples=25, deadline=None)
+@given(
+    queries=st.lists(
+        st.lists(
+            st.floats(min_value=98.0, max_value=102.0, allow_nan=False),
+            min_size=2,
+            max_size=5,
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    stream=parky_streams(max_size=80),
+    buffer_size=st.integers(min_value=1, max_value=32),
+    group_size=st.integers(min_value=1, max_value=4),
+    widths=st.lists(st.integers(min_value=1, max_value=30), min_size=1),
+)
+def test_pruned_extend_parity(
+    name, admission, queries, stream, buffer_size, group_size, widths
+):
+    """Batched pruned ``extend`` — the compiled admission loop where the
+    backend has one — against the numpy per-tick cascade, over random
+    batch splits."""
+
+    def build(backend):
+        return FusedSpring.from_springs(
+            _springs(queries, 16.0),
+            prune_buffer=buffer_size,
+            backend=backend,
+            admission=admission,
+            admission_group_size=group_size,
+        )
+
+    reference, compiled = build("numpy"), build(name)
+    pos, turn = 0, 0
+    while pos < len(stream):
+        batch = stream[pos:pos + widths[turn % len(widths)]]
+        pos += len(batch)
+        turn += 1
+        assert _match_tuples(compiled.extend(batch)) == _match_tuples(
+            reference.extend(batch)
+        )
+        assert np.array_equal(compiled.parked, reference.parked)
+        assert compiled.prune_state_dict() == reference.prune_state_dict()
+    reference.catch_up_all()
+    compiled.catch_up_all()
+    _assert_engine_states_equal(reference, compiled)
+    assert _match_tuples(compiled.flush()) == _match_tuples(reference.flush())
+
+
 # ----------------------------------------------------------------------
 # Error-policy parity
 # ----------------------------------------------------------------------
