@@ -44,14 +44,14 @@ kernel backend's contribution is measured by its own pair:
   tick vs one merged-corridor test per group.
 
 * ``monitor_64q_push_<backend>`` — the 64-query push scenario on the
-  best available *compiled* kernel backend (numba or cext), measured
-  against back-to-back numpy rounds; the per-round minimum ratio is
+  *compiled* kernel backend (cext), measured against back-to-back
+  numpy rounds; the per-round minimum ratio is
   recorded as ``kernel_speedup_vs_numpy`` (the compiled-kernel
   regression gate, floored at 5x in CI).  Warm-up — backend probe +
   compilation plus the first-tick dispatch — happens on a throwaway
   monitor *before* timing starts and is recorded separately under
   ``kernel_warmup``, so steady-state throughput is never diluted by
-  JIT cost (and JIT cost is never hidden).  When no compiled backend
+  compilation cost (and compilation cost is never hidden).  When no compiled backend
   is available the pair is skipped and the ratio recorded as null.
 
 * ``monitor_64q_low_sel_push_many_cext{,_noprune}`` — the low-selectivity

@@ -45,13 +45,12 @@ same run:
   its entire value is this ratio; a regression means windows stopped
   being skipped (e.g. a bound no longer tight enough to beat epsilon)
   and every tick is back to one full DP per candidate length.
-* ``kernel_speedup_vs_numpy`` — the 64-query push workload on the best
-  available compiled kernel backend (numba or cext) vs the numpy
-  reference, measured back-to-back per round with the minimum ratio
+* ``kernel_speedup_vs_numpy`` — the 64-query push workload on the
+  compiled kernel backend (cext) vs the numpy reference, measured back-to-back per round with the minimum ratio
   gated against ``--min-kernel-speedup`` (default 5), an absolute
   floor because the ratio is machine-independent by construction.
   Skipped with a note when no compiled backend is available (no C
-  compiler and no numba), so numpy-only CI legs stay green.
+  compiler), so numpy-only CI legs stay green.
 * ``shard_scaling_speedup`` — the sharded serving runtime at 4 workers
   vs 1 worker on the 64-stream x 1000-query workload, gated against
   ``--min-shard-scaling`` (default 2).  Skipped with a note when the

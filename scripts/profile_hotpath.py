@@ -202,7 +202,7 @@ def main(argv: object = None) -> int:
                         help="also dump the full report (stages + raw span "
                              "totals) as JSON")
     parser.add_argument("--backend", default=None,
-                        choices=("auto", "numpy", "numba", "cext"),
+                        choices=("auto", "numpy", "cext"),
                         help="kernel backend (default: auto)")
     parser.add_argument("--admission", default=None,
                         choices=("auto", "flat", "grouped"),

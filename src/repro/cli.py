@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay-buffer capacity per stream for the "
                           "admission cascade (default 1024)")
     mon.add_argument("--backend", default=None,
-                     choices=("auto", "numpy", "numba", "cext"),
+                     choices=("auto", "numpy", "cext"),
                      help="kernel backend for the column recurrence "
                           "(default: auto = best available; matches "
                           "are bit-identical across backends)")
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="front the sharded runtime with N worker "
                           "processes (0 = in-process engine, default)")
     srv.add_argument("--backend", default=None,
-                     choices=("auto", "numpy", "numba", "cext"),
+                     choices=("auto", "numpy", "cext"),
                      help="kernel backend (default auto)")
     srv.add_argument("--admission", default=None,
                      choices=("auto", "flat", "grouped"),

@@ -76,7 +76,7 @@ AUTO_GROUP_MIN_QUERIES = 128
 DEFAULT_GROUP_SIZE = 64
 
 #: Elements per replay cost slab before catch-up chops the span into
-#: blocks (mirrors the engine's extend() budget; ~16 MB of float64).
+#: blocks (~16 MB of float64).
 _REPLAY_BLOCK_BUDGET = 2_000_000
 
 
@@ -151,11 +151,7 @@ class AdmissionCascade:
         ``<= ε``), and returns ``(hot_mask, n_hot)`` — ``(None, 0)``
         when every query is parked and the tick is fully pruned.
         """
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            return self._admit(x)
-        with tracer.span("admission.admit"):
-            return self._admit(x)
+        return tracing.call("admission.admit", self._admit, x)
 
     def _admit(self, x: float) -> Tuple[Optional[np.ndarray], int]:
         raise NotImplementedError

@@ -1,16 +1,18 @@
 """Kernel backend registry: selection, availability, graceful fallback.
 
-Three backends ship registered:
+Two backends ship registered:
 
 ========  ========  ========================================================
 name      priority  implementation
 ========  ========  ========================================================
-numba     30        ``@njit``-compiled Python (needs the optional ``numba``
-                    package; ``pip install .[numba]``)
 cext      20        embedded C source compiled on demand with the system C
                     compiler, loaded via :mod:`ctypes` (no dependency)
 numpy     10        the vectorised NumPy reference — always available
 ========  ========  ========================================================
+
+Every backend mints the bank kernel of every fused engine: numpy's is
+the vectorised reference (:class:`BankKernel`), cext compiles its own
+for the named local distances.
 
 Selection precedence, highest first:
 
@@ -26,9 +28,9 @@ backend *by name* is strict: if it cannot be used, resolution raises
 :class:`~repro.exceptions.ValidationError` carrying the reason — the
 same reason ``repro backends`` prints.
 
-Backends are probed lazily and cached for the process: the numba import
-and the C compilation happen at most once, at first resolution, never
-on a stream tick.  The backend in use is a runtime property only — it
+Backends are probed lazily and cached for the process: the C
+compilation happens at most once, at first resolution, never on a
+stream tick.  The backend in use is a runtime property only — it
 is never serialised into checkpoints, and every backend produces
 bit-identical results by contract (see :mod:`repro.core.backends.base`).
 """
@@ -237,17 +239,10 @@ register_backend(
 )
 
 
-def _load_numba():
-    from repro.core.backends import numba_backend
-
-    return numba_backend.probe()
-
-
 def _load_cext():
     from repro.core.backends import cext
 
     return cext.probe()
 
 
-register_backend("numba", _load_numba, priority=30, compiled=True)
 register_backend("cext", _load_cext, priority=20, compiled=True)

@@ -9,12 +9,15 @@ inner loops that dominate the per-tick cost of SPRING:
   step used by per-query matchers and ``Spring.extend`` blocks;
 * :func:`repro.dtw.lower_bounds.lb_corridor` — the O(Q) admission bound
   of the pruning cascade;
-* a *bank kernel* (:class:`BankKernel`) — the fully fused per-tick path
-  of :class:`~repro.core.fused.FusedSpring` (local cost + column
-  recurrence + Figure-4 report logic in one call), which is where
-  compiled backends earn their keep: one foreign call per tick instead
-  of a dozen numpy dispatches — or per batch, admission cascade
-  included, where the kernel :attr:`~BankKernel.runs_admission`.
+* a *bank kernel* (:class:`BankKernel`) — the fused per-tick path of
+  :class:`~repro.core.fused.FusedSpring` (local cost + column
+  recurrence + Figure-4 report logic).  Every backend mints one for
+  every engine: :class:`BankKernel` itself is the vectorised reference
+  (one ``update_columns`` call plus the numpy report per tick), and a
+  compiled backend overrides it where it can, which is where it earns
+  its keep: one foreign call per tick instead of a dozen numpy
+  dispatches — or per batch, admission cascade included, where the
+  kernel :attr:`~BankKernel.runs_admission`.
 
 **Exactness contract.**  A backend is only correct if it is *bit-exact*
 against the NumPy reference: identical float64 results for every
@@ -41,11 +44,12 @@ any other to byte-identical future matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.matches import Match
+from repro.obs import tracing
 
 __all__ = ["BackendInfo", "KernelBackend", "BankKernel"]
 
@@ -54,7 +58,7 @@ __all__ = ["BackendInfo", "KernelBackend", "BankKernel"]
 class BackendInfo:
     """One row of the backend registry listing (``repro backends``)."""
 
-    #: Registry name (``"numpy"``, ``"numba"``, ``"cext"``).
+    #: Registry name (``"numpy"``, ``"cext"``).
     name: str
     #: Auto-selection rank; higher wins among available backends.
     priority: int
@@ -67,66 +71,69 @@ class BackendInfo:
 
 
 class BankKernel:
-    """A compiled fused-step kernel bound to one ``FusedSpring`` engine.
+    """The fused-step kernel bound to one ``FusedSpring`` engine.
 
-    The kernel advances the engine's *master arrays in place* — column
-    matrices, tick counters, and the Figure-4 bookkeeping — and returns
-    confirmations in exactly the order the vectorised NumPy path
-    reports them (ascending query index per tick, ticks in stream
-    order).  Binding caches the arrays' base addresses, so the engine
-    must never rebind them while a kernel is attached (the compiled
-    code paths never do; see ``FusedSpring``).
+    Every engine holds exactly one, minted by
+    :meth:`KernelBackend.bank_kernel`.  This class is the vectorised
+    reference every backend mints unless it compiles its own fused step
+    for the bank's local distance: per tick, the bank's local costs,
+    one ``backend.update_columns`` call over the stepped rows, then the
+    engine's vectorised Figure-4 report (traced as
+    ``kernel.update_columns`` and ``policy.report``).  A compiled kernel
+    (cext) overrides the three stepping methods with native calls that
+    advance the engine's master arrays *in place* and return
+    confirmations in exactly the order this reference reports them
+    (ascending query index per tick, ticks in stream order).
     """
 
-    __slots__ = ("_emit_q", "_emit_d", "_emit_ts", "_emit_te", "_emit_t")
+    __slots__ = ("_engine", "_update_columns")
+
+    #: Whether the stepping methods run as native code (one foreign
+    #: call per tick or per block) rather than numpy dispatch.
+    compiled = False
 
     #: Whether :meth:`extend_pruned` runs the admission cascade inside
     #: the compiled loop.  Engines on kernels without it keep the
     #: per-tick Python cascade for pruned blocks.
     runs_admission = False
 
-    def __init__(self, q: int) -> None:
-        # One slot per query suffices for a single tick (a query emits
-        # at most one confirmation per tick); extend() batches up to
-        # ``emit_capacity`` before handing control back to Python.
-        cap = max(4 * q, 1024)
-        self._emit_q = np.empty(cap, dtype=np.int64)
-        self._emit_d = np.empty(cap, dtype=np.float64)
-        self._emit_ts = np.empty(cap, dtype=np.int64)
-        self._emit_te = np.empty(cap, dtype=np.int64)
-        self._emit_t = np.empty(cap, dtype=np.int64)
-
-    @property
-    def emit_capacity(self) -> int:
-        """Confirmation slots available per foreign call."""
-        return int(self._emit_q.shape[0])
-
-    def collect(self, n: int) -> List[Tuple[int, Match]]:
-        """Materialise the first ``n`` buffered emissions as matches."""
-        eq, ed = self._emit_q, self._emit_d
-        ets, ete, et = self._emit_ts, self._emit_te, self._emit_t
-        return [
-            (
-                int(eq[i]),
-                Match(
-                    start=int(ets[i]),
-                    end=int(ete[i]),
-                    distance=float(ed[i]),
-                    output_time=int(et[i]),
-                ),
-            )
-            for i in range(n)
-        ]
-
-    # -- to implement ---------------------------------------------------
+    def __init__(self, engine, backend: "KernelBackend") -> None:
+        self._engine = engine
+        self._update_columns = backend.update_columns
 
     def step(self, x: float) -> List[Tuple[int, Match]]:
         """Advance every query by one finite stream value."""
-        raise NotImplementedError
+        engine = self._engine
+        bank = engine.bank
+        engine._ticks += 1
+        cost = np.asarray(bank.distance(x, bank.padded), dtype=np.float64)
+        # update_columns returns fresh arrays; rebinding them is safe
+        # because nothing else caches the engine's column matrices.
+        engine._d, engine._s = tracing.call(
+            "kernel.update_columns", self._update_columns,
+            engine._d, engine._s, cost, engine._ticks,
+        )
+        return tracing.call("policy.report", engine._report_logic)
 
-    def step_rows(self, x: float, rows: np.ndarray) -> List[Tuple[int, Match]]:
-        """Advance only ``rows`` (the hot subset under pruning)."""
-        raise NotImplementedError
+    def step_rows(self, x: float, hot: np.ndarray) -> List[Tuple[int, Match]]:
+        """Advance only the rows the boolean mask ``hot`` marks (the hot
+        subset under pruning).
+
+        Only the stepped rows are reported — sound because a query
+        only parks with no pending optimum, so parked rows cannot emit.
+        """
+        engine = self._engine
+        bank = engine.bank
+        rows = np.flatnonzero(hot)
+        engine._ticks[rows] += 1
+        cost = np.asarray(bank.distance(x, bank.padded[rows]), dtype=np.float64)
+        d_new, s_new = tracing.call(
+            "kernel.update_columns", self._update_columns,
+            engine._d[rows], engine._s[rows], cost, engine._ticks[rows],
+        )
+        engine._d[rows] = d_new
+        engine._s[rows] = s_new
+        return tracing.call("policy.report", engine._report_logic, hot)
 
     def extend(
         self, xs: np.ndarray, skip: np.ndarray
@@ -137,7 +144,14 @@ class BankKernel:
         (the ``missing="skip"`` policy); emissions come back flattened
         in (tick, query-index) order, identical to per-tick stepping.
         """
-        raise NotImplementedError
+        engine = self._engine
+        out: List[Tuple[int, Match]] = []
+        for x, missing in zip(xs.tolist(), skip.tolist()):
+            if missing:
+                engine._ticks += 1
+            else:
+                out.extend(self.step(x))
+        return out
 
     def extend_pruned(
         self, xs: np.ndarray, skip: np.ndarray, cascade
@@ -219,15 +233,15 @@ class KernelBackend:
         """
         return self.lb_corridor(x, lo, hi, kind) > eps
 
-    def bank_kernel(self, engine) -> Optional[BankKernel]:
-        """Mint a fused-step kernel bound to ``engine``, or ``None``.
+    def bank_kernel(self, engine) -> BankKernel:
+        """Mint the fused-step kernel bound to ``engine``.
 
-        ``None`` means the engine should keep using its vectorised
-        NumPy path — always the case for the numpy backend, and for
-        banks whose local distance has no compiled specialisation
-        (custom callables).
+        The default is the vectorised reference :class:`BankKernel`
+        over this backend's :meth:`update_columns` — what the numpy
+        backend always uses.  A backend that compiles a fused step for
+        the bank's local distance returns its own kernel instead.
         """
-        return None
+        return BankKernel(engine, self)
 
     def warmup(self) -> float:
         """Force any deferred compilation now; return seconds spent.

@@ -1,13 +1,14 @@
 """Compiled C backend: the four hot kernels as native code via ctypes.
 
-The numba backend is the primary compiled tier, but it needs a package
-the deployment may not ship.  This backend needs only what almost every
-host already has — a C compiler — and the standard library: the kernel
-source below is compiled to a shared object on first use (cached on
-disk, keyed by a hash of source and flags) and loaded with ``ctypes``.
-No third-party dependency, no build step at install time; when no
-compiler is present the registry simply reports the backend
-unavailable and selection falls back.
+The compiled tier.  It needs only what almost every host already has —
+a C compiler — and the standard library: the kernel source below is
+compiled to a shared object on first use (cached on disk, keyed by a
+hash of source and flags) and loaded with ``ctypes``.  No third-party
+dependency, no build step at install time; when no compiler is present
+the registry simply reports the backend unavailable and selection
+falls back to numpy.  Banks on a custom local distance have no compiled
+fused step: they get the reference bank kernel, still running over this
+backend's column update.
 
 **Bit-exactness.**  The C kernels replicate the NumPy min-plus scan of
 :func:`repro.core.state.update_columns` operation for operation:
@@ -83,9 +84,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.backends.base import BankKernel, KernelBackend
+from repro.core.matches import Match
 from repro.core.state import SpringState, update_columns
 from repro.dtw.lower_bounds import lb_corridor as _np_lb_corridor
 from repro.exceptions import ValidationError
+from repro.obs import tracing
 
 __all__ = ["CExtBackend", "probe"]
 
@@ -967,19 +970,36 @@ def _address(arr: np.ndarray, dtype, size: Optional[int] = None) -> int:
 
 
 class _CExtBankKernel(BankKernel):
-    """Fused-step kernel bound to one ``FusedSpring`` via a param block."""
+    """Fused-step kernel bound to one ``FusedSpring`` via a param block.
+
+    Each stepping method is one native call (traced as
+    ``kernel.step_bank`` / ``kernel.extend_bank``) that advances the
+    engine's master arrays in place; confirmations come back through
+    emission buffers the kernel owns.
+    """
 
     __slots__ = (
         "_lib", "_q", "_pp", "_pp_addr", "_scr_f", "_scr_i", "_yt",
         "_ap", "_ap_addr", "_scr_adm", "_cascade", "_ring", "_index",
+        "_emit_q", "_emit_d", "_emit_ts", "_emit_te", "_emit_t",
     )
 
+    compiled = True
     runs_admission = True
 
-    def __init__(self, lib: ctypes.CDLL, engine) -> None:
+    def __init__(self, engine, backend: "CExtBackend") -> None:
         bank = engine.bank
-        super().__init__(bank.q)
-        self._lib = lib
+        super().__init__(engine, backend)
+        # One slot per query suffices for a single tick (a query emits
+        # at most one confirmation per tick); extend() batches up to
+        # ``emit_capacity`` before handing control back to Python.
+        cap = max(4 * bank.q, 1024)
+        self._emit_q = np.empty(cap, dtype=np.int64)
+        self._emit_d = np.empty(cap, dtype=np.float64)
+        self._emit_ts = np.empty(cap, dtype=np.int64)
+        self._emit_te = np.empty(cap, dtype=np.int64)
+        self._emit_t = np.empty(cap, dtype=np.int64)
+        self._lib = backend._lib
         self._q = bank.q
         self._scr_f = np.empty(3 * bank.q, dtype=np.float64)
         self._scr_i = np.empty(3 * bank.q, dtype=np.int64)
@@ -1032,18 +1052,50 @@ class _CExtBankKernel(BankKernel):
         self._ring = None
         self._index = None
 
-    def step(self, x: float):
-        n = self._lib.spring_step_bank(self._pp_addr, x, 0, 0)
-        return self.collect(n) if n else []
+    @property
+    def emit_capacity(self) -> int:
+        """Confirmation slots available per foreign call."""
+        return int(self._emit_q.shape[0])
 
-    def step_rows(self, x: float, rows: np.ndarray):
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        n = self._lib.spring_step_bank(
-            self._pp_addr, x, rows.shape[0], rows.ctypes.data
+    def collect(self, n: int) -> List[Tuple[int, Match]]:
+        """Materialise the first ``n`` buffered emissions as matches."""
+        eq, ed = self._emit_q, self._emit_d
+        ets, ete, et = self._emit_ts, self._emit_te, self._emit_t
+        return [
+            (
+                int(eq[i]),
+                Match(
+                    start=int(ets[i]),
+                    end=int(ete[i]),
+                    distance=float(ed[i]),
+                    output_time=int(et[i]),
+                ),
+            )
+            for i in range(n)
+        ]
+
+    def step(self, x: float):
+        return tracing.call("kernel.step_bank", self._step, x, 0, 0)
+
+    def step_rows(self, x: float, hot: np.ndarray):
+        rows = np.ascontiguousarray(np.flatnonzero(hot), dtype=np.int64)
+        return tracing.call(
+            "kernel.step_bank", self._step, x, rows.shape[0], rows.ctypes.data
         )
+
+    def _step(self, x: float, n_rows: int, rows_addr: int):
+        n = self._lib.spring_step_bank(self._pp_addr, x, n_rows, rows_addr)
         return self.collect(n) if n else []
 
     def extend(self, xs: np.ndarray, skip: np.ndarray):
+        return tracing.call("kernel.extend_bank", self._extend, xs, skip)
+
+    def extend_pruned(self, xs: np.ndarray, skip: np.ndarray, cascade):
+        return tracing.call(
+            "kernel.extend_bank", self._extend_pruned, xs, skip, cascade
+        )
+
+    def _extend(self, xs: np.ndarray, skip: np.ndarray):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         skip = np.ascontiguousarray(skip, dtype=np.uint8)
         out: List[Tuple[int, object]] = []
@@ -1066,7 +1118,7 @@ class _CExtBankKernel(BankKernel):
             pos += consumed
         return out
 
-    def extend_pruned(self, xs: np.ndarray, skip: np.ndarray, cascade):
+    def _extend_pruned(self, xs: np.ndarray, skip: np.ndarray, cascade):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         skip = np.ascontiguousarray(skip, dtype=np.uint8)
         ap = self._ap
@@ -1211,10 +1263,12 @@ class CExtBackend(KernelBackend):
         )
         return out.view(np.bool_)
 
-    def bank_kernel(self, engine) -> Optional[BankKernel]:
+    def bank_kernel(self, engine) -> BankKernel:
         if engine._prune_kind not in _KIND_CODES:
-            return None  # custom local distance: no compiled fused step
-        return _CExtBankKernel(self._lib, engine)
+            # Custom local distance: no compiled fused step, so the
+            # reference kernel runs over this backend's update_columns.
+            return super().bank_kernel(engine)
+        return _CExtBankKernel(engine, self)
 
 
 def probe() -> Tuple[Optional[CExtBackend], str]:

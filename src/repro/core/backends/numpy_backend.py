@@ -1,10 +1,10 @@
 """The always-available reference backend: thin numpy delegation.
 
 This backend *is* the semantics — every other backend is correct only
-insofar as it reproduces these functions bit-for-bit.  It never mints a
-:class:`~repro.core.backends.base.BankKernel`: the fused engine's own
-vectorised path (one batched numpy call per tick) is the numpy-tier
-implementation of the fused step.
+insofar as it reproduces these functions bit-for-bit.  Its bank kernel
+is the inherited vectorised reference,
+:class:`~repro.core.backends.base.BankKernel` (one batched
+``update_columns`` call plus the numpy Figure-4 report per tick).
 """
 
 from __future__ import annotations

@@ -191,11 +191,7 @@ class CascadeSpring:
 
     def _verify(self, coarse: Match, flushing: bool = False) -> Optional[Match]:
         """Exact SPRING over the buffered window around a coarse hit."""
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            return self._verify_window(coarse, flushing)
-        with tracer.span("cascade.verify"):
-            return self._verify_window(coarse, flushing)
+        return tracing.call("cascade.verify", self._verify_window, coarse, flushing)
 
     def _verify_window(
         self, coarse: Match, flushing: bool = False

@@ -44,19 +44,11 @@ class FusedBank:
 
     def step(self, value: object) -> List[Tuple[int, Match]]:
         """Advance every banked matcher one tick (traced as bank dispatch)."""
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            return self.engine.step(value)
-        with tracer.span("engine.bank_step"):
-            return self.engine.step(value)
+        return tracing.call("engine.bank_step", self.engine.step, value)
 
     def extend(self, values: Iterable[object]) -> List[Tuple[int, Match]]:
         """Advance every banked matcher through a batch of values."""
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            return self.engine.extend(values)
-        with tracer.span("engine.bank_extend"):
-            return self.engine.extend(values)
+        return tracing.call("engine.bank_extend", self.engine.extend, values)
 
     def write_back(self) -> None:
         """Copy bank state back into the per-query matchers.

@@ -80,17 +80,12 @@ from repro.dtw.steps import (
     resolve_vector_distance,
 )
 from repro.exceptions import NotFittedError, ValidationError
-from repro.obs import tracing
 
 __all__ = ["QueryBank", "FusedSpring"]
 
 #: Local distances that admit the corridor lower bound; pruning is
 #: silently inert for banks running any other (custom) distance.
 _PRUNABLE_DISTANCES = ("squared", "absolute")
-
-#: Elements per (block, Q, m) cost slab before :meth:`FusedSpring.extend`
-#: chops the stream into smaller blocks (~16 MB of float64).
-_BLOCK_BUDGET = 2_000_000
 
 
 class QueryBank:
@@ -228,11 +223,12 @@ class FusedSpring:
         long a span can be replayed bit-for-bit instead of waking
         through the equivalent reset representation.
     backend:
-        Kernel backend spec (``"auto"``/``"numpy"``/``"numba"``/
-        ``"cext"``, a resolved backend, or ``None`` for the process
-        default — see :mod:`repro.core.backends`).  A runtime property
-        only: results are bit-identical across backends and the choice
-        is never serialised.
+        Kernel backend spec (``"auto"``/``"numpy"``/``"cext"``, a
+        resolved backend, or ``None`` for the process default — see
+        :mod:`repro.core.backends`).  The backend mints the engine's
+        bank kernel.  A runtime property only: results are
+        bit-identical across backends and the choice is never
+        serialised.
     admission:
         Admission strategy for the pruning cascade —
         ``"flat"``/``"grouped"``/``"auto"`` (or ``None`` for auto; see
@@ -317,18 +313,16 @@ class FusedSpring:
         else:
             self._admission = None
 
-        # Compiled fused-step kernel, or None for the vectorised numpy
-        # path.  Minted last: it caches the addresses of the master
-        # arrays above, which are only ever mutated in place from here
-        # on (the numpy fallback that rebinds `_d`/`_s` never runs while
-        # a kernel is attached).
+        # The bank kernel every step goes through: the backend's
+        # compiled one, or the vectorised reference.  Minted last: a
+        # compiled kernel caches the addresses of the master arrays
+        # above, which it then only ever mutates in place.
         self._kernel = self._backend.bank_kernel(self)
         # Whether pruned blocks run as one compiled call per batch, the
         # cascade included (a built-in strategy on a kernel that
         # implements it); otherwise extend() steps the cascade per tick.
         self._native_prune = (
             self._prune
-            and self._kernel is not None
             and self._kernel.runs_admission
             and self._admission.native is not None
         )
@@ -355,7 +349,7 @@ class FusedSpring:
     @property
     def compiled_step(self) -> bool:
         """Whether the fused per-tick path runs as one native call."""
-        return self._kernel is not None
+        return self._kernel.compiled
 
     @property
     def admission(self) -> Optional[AdmissionCascade]:
@@ -456,29 +450,7 @@ class FusedSpring:
         if x is None:
             self._ticks += 1
             return []
-        if self._kernel is not None:
-            # One native call covers cost, recurrence, and report; the
-            # kernel advances the tick counters itself.
-            tracer = tracing.ACTIVE
-            if tracer is None:
-                return self._kernel.step(float(x))
-            with tracer.span("kernel.step_bank"):
-                return self._kernel.step(float(x))
-        self._ticks += 1
-        cost = self.bank.distance(x, self.bank.padded)
-        cost = np.asarray(cost, dtype=np.float64)
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            self._d, self._s = self._backend.update_columns(
-                self._d, self._s, cost, self._ticks
-            )
-            return self._report_logic()
-        with tracer.span("kernel.update_columns"):
-            self._d, self._s = self._backend.update_columns(
-                self._d, self._s, cost, self._ticks
-            )
-        with tracer.span("policy.report"):
-            return self._report_logic()
+        return self._kernel.step(float(x))
 
     def _step_pruned(self, x: Optional[np.float64]) -> List[Tuple[int, Match]]:
         """:meth:`step` with the lower-bound admission cascade active.
@@ -487,8 +459,8 @@ class FusedSpring:
         replay buffer, wake parked queries whose bound dipped under,
         park hot queries the bound certifies cold — only when nothing
         is pending and their best-so-far distance is already ``<= ε``;
-        see docs/algorithm.md §11 and §14); this engine then runs the
-        normal kernel/report pass for the surviving hot rows only.
+        see docs/algorithm.md §11 and §14); the kernel then steps and
+        reports the surviving hot rows only.
         """
         adm = self._admission
         if x is None:
@@ -501,59 +473,9 @@ class FusedSpring:
         if hot is None:
             return []
         if n_hot == self.q:
-            # Nothing parked: identical to the unpruned dense path.
-            if self._kernel is not None:
-                tracer = tracing.ACTIVE
-                if tracer is None:
-                    return self._kernel.step(float(x))
-                with tracer.span("kernel.step_bank"):
-                    return self._kernel.step(float(x))
-            self._ticks += 1
-            cost = np.asarray(
-                self.bank.distance(x, self.bank.padded), dtype=np.float64
-            )
-            tracer = tracing.ACTIVE
-            if tracer is None:
-                self._d, self._s = self._backend.update_columns(
-                    self._d, self._s, cost, self._ticks
-                )
-                return self._report_logic()
-            with tracer.span("kernel.update_columns"):
-                self._d, self._s = self._backend.update_columns(
-                    self._d, self._s, cost, self._ticks
-                )
-            with tracer.span("policy.report"):
-                return self._report_logic()
-        rows = np.flatnonzero(hot)
-        if self._kernel is not None:
-            # The kernel advances `_ticks[rows]` itself and reports only
-            # the stepped rows — sound because a query only parks with
-            # no pending optimum, so parked rows can never emit.
-            tracer = tracing.ACTIVE
-            if tracer is None:
-                return self._kernel.step_rows(float(x), rows)
-            with tracer.span("kernel.step_bank"):
-                return self._kernel.step_rows(float(x), rows)
-        self._ticks[rows] += 1
-        cost = np.asarray(
-            self.bank.distance(x, self.bank.padded[rows]), dtype=np.float64
-        )
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            d_new, s_new = self._backend.update_columns(
-                self._d[rows], self._s[rows], cost, self._ticks[rows]
-            )
-            self._d[rows] = d_new
-            self._s[rows] = s_new
-            return self._report_logic(active=hot)
-        with tracer.span("kernel.update_columns"):
-            d_new, s_new = self._backend.update_columns(
-                self._d[rows], self._s[rows], cost, self._ticks[rows]
-            )
-            self._d[rows] = d_new
-            self._s[rows] = s_new
-        with tracer.span("policy.report"):
-            return self._report_logic(active=hot)
+            # Nothing parked: identical to the unpruned dense step.
+            return self._kernel.step(float(x))
+        return self._kernel.step_rows(float(x), hot)
 
     def catch_up_all(self) -> None:
         """Apply every deferred tick so applied state equals stream state.
@@ -566,19 +488,14 @@ class FusedSpring:
         if self._admission is not None:
             self._admission.catch_up_all()
 
-    def extend(
-        self, values: Iterable[object], block_size: int = 1024
-    ) -> List[Tuple[int, Match]]:
-        """Consume many values with block-precomputed local costs.
+    def extend(self, values: Iterable[object]) -> List[Tuple[int, Match]]:
+        """Consume many values; equivalent to :meth:`step` per value.
 
-        The ``(block, Q, m)`` cost slab for a chunk of the stream is one
-        numpy broadcast; the per-tick recurrence then runs over the block
-        without re-validating or re-dispatching per value.  A compiled
-        kernel takes the whole block in one call — with pruning on too,
-        admission included, when it runs admission natively
-        (``BankKernel.runs_admission``: cext); other pruned engines step
-        the cascade per tick.  Equivalent to calling :meth:`step` per
-        value.
+        The values are validated once for the whole block, then handed
+        to the bank kernel in one call — a compiled kernel runs the
+        block natively, with pruning on too, admission included, when
+        it runs admission itself (``BankKernel.runs_admission``: cext).
+        Other pruned engines step the Python cascade per tick.
         """
         try:
             arr = np.asarray(values, dtype=np.float64)
@@ -596,79 +513,22 @@ class FusedSpring:
 
         nan_rows, inf_rows = classify_rows(arr)
         stop = first_fatal(nan_rows, inf_rows, self.missing)
-
-        matches: List[Tuple[int, Match]] = []
-        if self._prune:
-            if self._native_prune:
-                # One compiled call per batch: admission, wake/replay
-                # (tripwire kept) and the hot-row step run in-kernel,
-                # making exactly the per-tick cascade's decisions.
-                skip = nan_rows[:stop].astype(np.uint8)
-                run = self._kernel.extend_pruned
-                tracer = tracing.ACTIVE
-                if tracer is None:
-                    matches.extend(run(arr[:stop], skip, self._admission))
-                else:
-                    with tracer.span("kernel.extend_bank"):
-                        matches.extend(run(arr[:stop], skip, self._admission))
-            else:
-                # No native pruned loop (numpy/numba kernels, custom
-                # distances or strategies): the Python cascade per tick.
-                for t in range(stop):
-                    x = None if nan_rows[t] else np.float64(arr[t])
-                    matches.extend(self._step_pruned(x))
-            if stop < arr.shape[0]:
-                tick = self._stream_tick0() + 1
-                raise bad_value_error(tick, bool(nan_rows[stop]), matches)
-            return matches
-        if self._kernel is not None:
-            # The whole block runs native: skips advance time in-kernel,
-            # emissions come back batched in (tick, query) order.
-            skip = nan_rows[:stop].astype(np.uint8)
-            tracer = tracing.ACTIVE
-            if tracer is None:
-                matches.extend(self._kernel.extend(arr[:stop], skip))
-            else:
-                with tracer.span("kernel.extend_bank"):
-                    matches.extend(self._kernel.extend(arr[:stop], skip))
-            if stop < arr.shape[0]:
-                tick = int(self._ticks[0]) + 1 if self.q else 0
-                raise bad_value_error(tick, bool(nan_rows[stop]), matches)
-            return matches
-        budget = max(16, _BLOCK_BUDGET // max(1, self.bank.q * self.bank.m_max))
-        block = max(1, min(int(block_size), budget))
-        for lo in range(0, stop, block):
-            hi = min(lo + block, stop)
-            chunk = arr[lo:hi]
-            # (B, Q, m): one broadcast for the whole block's local costs.
-            cost_block = np.asarray(
-                self.bank.distance(
-                    chunk[:, None, None, None], self.bank.padded[None]
-                ),
-                dtype=np.float64,
+        skip = nan_rows[:stop].astype(np.uint8)
+        if self._native_prune:
+            matches = self._kernel.extend_pruned(
+                arr[:stop], skip, self._admission
             )
-            chunk_nan = nan_rows[lo:hi]
-            tracer = tracing.ACTIVE
-            for t in range(hi - lo):
-                self._ticks += 1
-                if chunk_nan[t]:
-                    continue
-                if tracer is None:
-                    self._d, self._s = self._backend.update_columns(
-                        self._d, self._s, cost_block[t], self._ticks
-                    )
-                    matches.extend(self._report_logic())
-                    continue
-                with tracer.span("kernel.update_columns"):
-                    self._d, self._s = self._backend.update_columns(
-                        self._d, self._s, cost_block[t], self._ticks
-                    )
-                with tracer.span("policy.report"):
-                    matches.extend(self._report_logic())
+        elif self._prune:
+            matches = []
+            for t in range(stop):
+                x = None if skip[t] else np.float64(arr[t])
+                matches.extend(self._step_pruned(x))
+        else:
+            matches = self._kernel.extend(arr[:stop], skip)
         if stop < arr.shape[0]:
             # Reproduce the per-tick error (prefix state is fully
             # applied) without losing what the prefix confirmed.
-            tick = int(self._ticks[0]) + 1 if self.q else 0
+            tick = self._stream_tick0() + 1
             raise bad_value_error(tick, bool(nan_rows[stop]), matches)
         return matches
 

@@ -138,11 +138,11 @@ class StreamMonitor:
         wake exactly, via the kernel's reset representation; the size
         only trades memory against bit-identical column reconstruction.
     backend:
-        Kernel backend spec (``"auto"``/``"numpy"``/``"numba"``/
-        ``"cext"`` or a resolved backend; ``None`` = process default,
-        see :mod:`repro.core.backends`).  Resolved eagerly so an
+        Kernel backend spec (``"auto"``/``"numpy"``/``"cext"`` or a
+        resolved backend; ``None`` = process default, see
+        :mod:`repro.core.backends`).  Resolved eagerly so an
         unavailable explicit choice fails at construction, and so any
-        JIT warm-up happens here rather than on the first push.  A
+        compilation happens here rather than on the first push.  A
         runtime property only — events are bit-identical across
         backends and checkpoints never record the choice.
     admission:
@@ -673,19 +673,15 @@ class StreamMonitor:
     def push(self, stream: str, value: object) -> List[MatchEvent]:
         """Feed one value into one stream; return events it confirmed."""
         recorder = self.recorder
-        tracer = tracing.ACTIVE
-        if not recorder.enabled and tracer is None:
-            return self._push(stream, value, NULL_RECORDER)
+        if not recorder.enabled:
+            return tracing.call(
+                "monitor.push", self._push, stream, value, NULL_RECORDER
+            )
         started = perf_counter()
-        if tracer is not None:
-            with tracer.span("monitor.push"):
-                events = self._push(stream, value, recorder)
-        else:
-            events = self._push(stream, value, recorder)
-        if recorder.enabled:
-            recorder.record_push(stream, 1, perf_counter() - started)
-            if events:
-                recorder.record_events(events)
+        events = tracing.call("monitor.push", self._push, stream, value, recorder)
+        recorder.record_push(stream, 1, perf_counter() - started)
+        if events:
+            recorder.record_events(events)
         return events
 
     def _push(
@@ -743,29 +739,21 @@ class StreamMonitor:
         ascending tick, then query-registration order.
         """
         recorder = self.recorder
-        tracer = tracing.ACTIVE
-        if not recorder.enabled and tracer is None:
-            return self._push_many(stream, values, NULL_RECORDER)
+        if not recorder.enabled:
+            return tracing.call(
+                "monitor.push_many", self._push_many, stream, values,
+                NULL_RECORDER,
+            )
         started = perf_counter()
-        if tracer is not None:
-            with tracer.span("monitor.push_many"):
-                events, ticks = self._push_many_counted(
-                    stream, values, recorder
-                )
-        else:
-            events, ticks = self._push_many_counted(stream, values, recorder)
-        if recorder.enabled:
-            recorder.record_push(stream, ticks, perf_counter() - started)
-            if events:
-                recorder.record_events(events)
-        return events
-
-    def _push_many_counted(
-        self, stream: str, values: Iterable[object], recorder
-    ) -> Tuple[List[MatchEvent], int]:
         if not isinstance(values, (np.ndarray, list, tuple)):
             values = list(values)
-        return self._push_many(stream, values, recorder), len(values)
+        events = tracing.call(
+            "monitor.push_many", self._push_many, stream, values, recorder
+        )
+        recorder.record_push(stream, len(values), perf_counter() - started)
+        if events:
+            recorder.record_events(events)
+        return events
 
     def _push_many(
         self, stream: str, values: Iterable[object], recorder

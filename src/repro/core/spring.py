@@ -346,20 +346,14 @@ class Spring:
         cost = np.asarray(
             self._distance(x[None, :], self._query), dtype=np.float64
         )
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            if self.use_reference:
-                self._update_with_nodes(cost)
-            else:
-                self._backend.update_column(self._state, cost, self._tick)
-            return self._report_logic()
-        with tracer.span("kernel.update_column"):
-            if self.use_reference:
-                self._update_with_nodes(cost)
-            else:
-                self._backend.update_column(self._state, cost, self._tick)
-        with tracer.span("policy.report"):
-            return self._report_logic()
+        if self.use_reference:
+            tracing.call("kernel.update_column", self._update_with_nodes, cost)
+        else:
+            tracing.call(
+                "kernel.update_column",
+                self._backend.update_column, self._state, cost, self._tick,
+            )
+        return tracing.call("policy.report", self._report_logic)
 
     def extend(self, values: Iterable[object], block_size: int = 1024) -> List[Match]:
         """Consume many values; return all matches confirmed on the way.

@@ -289,12 +289,9 @@ class TransformedMatcher:
         the clock where a retry would expect it — mirroring how the
         matchers themselves treat rejected stream values.
         """
-        tracer = tracing.ACTIVE
-        if tracer is None:
-            forwarded = self._transform.forward(value)
-        else:
-            with tracer.span("transform.forward"):
-                forwarded = self._transform.forward(value)
+        forwarded = tracing.call(
+            "transform.forward", self._transform.forward, value
+        )
         self._tick += 1
         if forwarded is None:
             return None

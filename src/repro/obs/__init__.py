@@ -14,8 +14,9 @@ runs.  Three stdlib-only layers:
     instrumentation free when observability is off, and
     :class:`MetricsRecorder` binds the metric taxonomy to a registry.
 :mod:`repro.obs.tracing`
-    Nested wall-clock spans behind a module-level ``ACTIVE`` gate, with
-    per-name self-time aggregation for the kernel/policy/transform/
+    Nested wall-clock spans, opened through one helper
+    (``tracing.call``) behind a module-level ``ACTIVE`` gate, with
+    per-thread span stacks and per-name self-time aggregation for the kernel/policy/transform/
     dispatch breakdown printed by ``scripts/profile_hotpath.py``.
 
 Exposure paths: ``StreamMonitor.metrics()`` / ``RunReport.metrics``

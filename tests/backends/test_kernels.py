@@ -7,9 +7,8 @@ comparison — the one degree of freedom the exactness contract leaves
 open; see ``repro.core.backends.base``).
 
 The suite parametrises over :func:`available_backends`, so it runs the
-numpy backend everywhere, the cext backend wherever a C compiler
-exists, and the numba backend only where the optional package is
-installed — nothing here is environment-specific.
+numpy backend everywhere and the cext backend wherever a C compiler
+exists — nothing here is environment-specific.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import FusedSpring, Spring, StreamMonitor
-from repro.core.backends import available_backends, resolve_backend
+from repro.core.backends import BankKernel, available_backends, resolve_backend
 from repro.core.checkpoint import dump_monitor_json, save_monitor
 from repro.core.state import SpringState, update_column, update_columns
 from repro.dtw.lower_bounds import lb_corridor
@@ -166,20 +165,28 @@ def _engine(rng, backend_name="numpy"):
 
 
 def test_bank_kernel_minting(backend, rng):
+    """Every backend mints a kernel; a compiled backend compiles it."""
     engine = _engine(rng)
     kernel = backend.bank_kernel(engine)
-    if backend.compiled:
-        assert kernel is not None
+    assert isinstance(kernel, BankKernel)
+    assert kernel.compiled == backend.compiled
+    if kernel.compiled:
+        assert kernel.runs_admission
         assert kernel.emit_capacity >= 4 * engine.q
     else:
-        # The numpy backend IS the vectorised fallback path.
-        assert kernel is None
+        # The numpy backend mints the vectorised reference itself.
+        assert type(kernel) is BankKernel
 
 
 def test_bank_kernel_declines_unknown_distance(backend, rng):
+    """No compiled fused step for a custom distance: the backend mints
+    the reference kernel over its own column update instead."""
     engine = _engine(rng)
     engine._prune_kind = "custom"  # no compiled specialisation
-    assert backend.bank_kernel(engine) is None
+    kernel = backend.bank_kernel(engine)
+    assert type(kernel) is BankKernel
+    assert not kernel.compiled and not kernel.runs_admission
+    assert kernel._update_columns == backend.update_columns
 
 
 def test_engine_reports_compiled_step(backend, rng):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import StreamMonitor
+from repro.core.backends import available_backends, resolve_backend
 from repro.exceptions import ValidationError
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.tracing import disable_tracing, enable_tracing
@@ -29,8 +30,8 @@ def _stream(rng, n=120):
     )
 
 
-def _build(pattern, metrics: bool) -> StreamMonitor:
-    monitor = StreamMonitor()
+def _build(pattern, metrics: bool, backend=None, prune=True) -> StreamMonitor:
+    monitor = StreamMonitor(backend=backend, prune=prune)
     if metrics:
         monitor.enable_metrics()
     monitor.add_stream("s0")
@@ -41,6 +42,36 @@ def _build(pattern, metrics: bool) -> StreamMonitor:
     monitor.add_query("q2", pattern, epsilon=0.5,
                       matcher="constrained", max_stretch=2.0)
     return monitor
+
+
+def _feed(monitor, values, mode: str) -> list:
+    if mode == "push":
+        events = [e for v in values for e in monitor.push("s0", float(v))]
+    else:
+        events = monitor.push_many("s0", values)
+    return events + monitor.flush()
+
+
+def _expected_spans(compiled: bool, prune: bool, mode: str) -> set:
+    """Span names a traced run of :func:`_build`'s monitor records.
+
+    These are the names ``perfbench/spans.py`` and the ``STAGES`` table
+    of ``scripts/profile_hotpath.py`` attribute to layers.
+    """
+    if mode == "push":
+        # The unbanked constrained query steps through Spring.step.
+        names = {"monitor.push", "engine.bank_step", "kernel.update_column",
+                 "policy.report"}
+        names.add("kernel.step_bank" if compiled else "kernel.update_columns")
+    elif compiled:
+        # One native call per batch, admission included.
+        return {"monitor.push_many", "engine.bank_extend", "kernel.extend_bank"}
+    else:
+        names = {"monitor.push_many", "engine.bank_extend",
+                 "kernel.update_columns", "policy.report"}
+    if prune:
+        names.add("admission.admit")
+    return names
 
 
 def _event_bytes(events) -> bytes:
@@ -83,18 +114,32 @@ class TestNoOpParity:
         assert plain_events
         assert _event_bytes(plain_events) == _event_bytes(metered_events)
 
-    def test_output_byte_identical_under_tracing(self, rng):
+    @pytest.mark.parametrize("mode", ["push", "push_many"])
+    @pytest.mark.parametrize("prune", [True, False], ids=["prune", "noprune"])
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_output_byte_identical_under_tracing(self, rng, backend, prune, mode):
         pattern, values = _stream(rng)
-        plain = _build(pattern, metrics=False)
-        traced = _build(pattern, metrics=False)
-        plain_events = plain.push_many("s0", values) + plain.flush()
+        plain = _build(pattern, metrics=False, backend=backend, prune=prune)
+        traced = _build(pattern, metrics=False, backend=backend, prune=prune)
+        plain_events = _feed(plain, values, mode)
         tracer = enable_tracing()
         try:
-            traced_events = traced.push_many("s0", values) + traced.flush()
+            traced_events = _feed(traced, values, mode)
         finally:
             disable_tracing()
+        assert plain_events
         assert _event_bytes(plain_events) == _event_bytes(traced_events)
-        assert len(tracer) > 0
+
+        events = tracer.events()
+        compiled = resolve_backend(backend).compiled
+        assert {e["name"] for e in events} == _expected_spans(
+            compiled, prune, mode
+        )
+        # Kernel spans are leaves: kernel time never includes report or
+        # admission time.
+        for event in events:
+            parent = event["parent"]
+            assert parent < 0 or not events[parent]["name"].startswith("kernel.")
 
 
 class TestMonitorMetrics:

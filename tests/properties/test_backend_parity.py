@@ -11,10 +11,9 @@ contract leaves open; see ``repro.core.backends.base``) — placement
 must still agree exactly.
 
 Every test parametrises over the compiled backends that are actually
-available (``cext`` wherever a C compiler exists, ``numba`` where the
-optional package is installed) and skips itself when only numpy is
-present, so the suite is meaningful on every CI leg without being
-environment-specific.
+available (``cext`` wherever a C compiler exists) and skips itself
+when only numpy is present, so the suite is meaningful on every CI
+leg without being environment-specific.
 
 These tests are the executable form of the bit-exactness argument in
 ``docs/algorithm.md`` §12.
