@@ -13,8 +13,8 @@ budget actually go?" at the layer boundaries rather than per function:
 * ``cascade verify``    — full-resolution verification windows
 * ``admission``         — the lower-bound admission tier
   (``admission.admit``: corridor tests, group certification, parking);
-  empty under ``--batch`` on cext, whose ``kernel.extend_bank`` runs
-  admission inside the compiled loop
+  empty on cext, whose ``kernel.extend_bank`` runs admission inside the
+  compiled loop, per batch under ``--batch`` and per tick otherwise
 * ``bank dispatch``     — fused-bank glue around the kernel
   (``engine.bank_step`` / ``engine.bank_extend`` self time)
 * ``monitor dispatch``  — per-push plan/collect/dispatch glue

@@ -7,13 +7,13 @@ counters — and decides, one stream value at a time, which queries stay
 parked, which wake, and which newly park.  The engine
 (:class:`~repro.core.fused.FusedSpring`) hard-wires no admission
 policy: per tick it asks :meth:`AdmissionCascade.admit` for the hot
-rows and steps those.  For blocks of values on a bank kernel that
+rows and steps those.  On a bank kernel that
 :attr:`~repro.core.backends.base.BankKernel.runs_admission` (cext), the
-kernel makes the same decisions inside its compiled extend loop instead,
-reading and advancing this module's state in place (the ``native_*``
-interface below); the Python cascade stays the reference for
-:meth:`~repro.core.fused.FusedSpring.step`, the other backends and
-custom strategies.
+kernel makes the same decisions inside its compiled extend loop instead
+— for a block of values, or a single tick as a block of one — reading
+and advancing this module's state in place (the ``native_*`` interface
+below); the Python cascade stays the reference for the other backends
+and custom strategies.
 
 Two strategies ship, behind the same open registry idiom as the policy
 and backend registries (:func:`register_admission`):
@@ -349,14 +349,18 @@ class AdmissionCascade:
         which strategy wrote it, and any strategy restores it.  The
         grouped index is a pure function of the parked set and is
         rebuilt, not serialised.
+
+        The ring keeps only the values a parked row can still replay,
+        ticks ``min(park_pos)+1..total`` (none while nothing is parked):
+        replay reads no older tick, and whether a span replays or wakes
+        deep depends on the ring's capacity, not on what it holds.
         """
         total = int(self.buffer.total_pushed)
-        parked = {
-            str(int(qi)): int(total - self.park_pos[qi])
-            for qi in np.flatnonzero(self.parked)
-        }
+        rows = np.flatnonzero(self.parked)
+        parked = {str(int(qi)): int(total - self.park_pos[qi]) for qi in rows}
+        keep = int(total - self.park_pos[rows].min()) if rows.size else 0
         return {
-            "buffer": self.buffer.state_dict(),
+            "buffer": self.buffer.state_dict(keep),
             "parked": parked,
             "counters": {
                 "pruned_ticks": int(self.pruned_ticks),

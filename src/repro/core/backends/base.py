@@ -94,7 +94,7 @@ class BankKernel:
 
     #: Whether :meth:`extend_pruned` runs the admission cascade inside
     #: the compiled loop.  Engines on kernels without it keep the
-    #: per-tick Python cascade for pruned blocks.
+    #: per-tick Python cascade for pruned ticks and blocks.
     runs_admission = False
 
     def __init__(self, engine, backend: "KernelBackend") -> None:

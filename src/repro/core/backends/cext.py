@@ -992,8 +992,10 @@ class _CExtBankKernel(BankKernel):
         super().__init__(engine, backend)
         # One slot per query suffices for a single tick (a query emits
         # at most one confirmation per tick); extend() batches up to
-        # ``emit_capacity`` before handing control back to Python.
-        cap = max(4 * bank.q, 1024)
+        # ``emit_capacity`` before handing control back to Python, which
+        # only happens once a call has buffered more than 3 * q.  Sized
+        # by the bank, so a one-query bank costs 4 slots, not kilobytes.
+        cap = 4 * bank.q
         self._emit_q = np.empty(cap, dtype=np.int64)
         self._emit_d = np.empty(cap, dtype=np.float64)
         self._emit_ts = np.empty(cap, dtype=np.int64)

@@ -8,9 +8,13 @@ stream, :func:`build_plan` partitions them into
   behaviour is exactly the plain scalar Figure-4 recurrence; they
   advance together through one
   :class:`~repro.core.fused.FusedSpring` column update per tick, and
-  their transform-only policies are applied to the bank's emissions; and
+  their transform-only policies are applied to the bank's emissions.
+  A group of one banks too when its bank kernel is compiled (cext):
+  a whole batch, admission included, is then one native call instead
+  of one foreign column update plus one Python report per tick; and
 * **per-matcher execution** — everything else (vector streams, path
-  recording, admission gating, observers, transforms) keeps its own
+  recording, admission gating, observers, transforms, and a lone
+  fusable matcher on the numpy reference kernel) keeps its own
   scalar/blocked path.
 
 Selection is purely capability-driven: no ``type(spring) is Spring``
@@ -111,7 +115,6 @@ def fusion_key(matcher: object) -> Optional[Tuple]:
 
 def build_plan(
     matchers: Mapping[str, object],
-    min_bank_size: int = 2,
     prune_buffer: Optional[int] = None,
     backend: BackendSpec = None,
     admission: Optional[str] = None,
@@ -122,8 +125,13 @@ def build_plan(
     Matchers not covered by ``plan.banked`` run their own ``step`` /
     ``extend``; banked ones advance through ``plan.banks`` and have
     their transform-only policies applied to bank emissions via
-    ``matcher.apply_report_policies``.  A bank of one is just a slower
-    Spring, hence ``min_bank_size``.
+    ``matcher.apply_report_policies``.  Every fusable group of two or
+    more is banked.  A group of one is banked only when its minted
+    bank kernel is compiled
+    (:attr:`~repro.core.fused.FusedSpring.compiled_step`): on
+    cext a one-query bank runs a batch as one native call, while on
+    the numpy reference kernel it is slower than the matcher's own
+    blocked ``extend``, which it then keeps.
 
     ``prune_buffer`` enables the exact lower-bound admission cascade on
     every bank it applies to (see :class:`~repro.core.fused.FusedSpring`);
@@ -144,22 +152,17 @@ def build_plan(
     banks: List[FusedBank] = []
     banked: set = set()
     for names in groups.values():
-        if len(names) < min_bank_size:
-            continue
         group = [matchers[n] for n in names]
-        banks.append(
-            FusedBank(
-                engine=FusedSpring.from_springs(
-                    group,
-                    prune_buffer=prune_buffer,
-                    backend=backend,
-                    admission=admission,
-                    admission_group_size=admission_group_size,
-                ),
-                names=list(names),
-                matchers=group,
-            )
+        engine = FusedSpring.from_springs(
+            group,
+            prune_buffer=prune_buffer,
+            backend=backend,
+            admission=admission,
+            admission_group_size=admission_group_size,
         )
+        if len(group) == 1 and not engine.compiled_step:
+            continue
+        banks.append(FusedBank(engine=engine, names=list(names), matchers=group))
         banked.update(names)
     return ExecutionPlan(
         banks=banks,

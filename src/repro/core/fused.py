@@ -318,14 +318,17 @@ class FusedSpring:
         # compiled kernel caches the addresses of the master arrays
         # above, which it then only ever mutates in place.
         self._kernel = self._backend.bank_kernel(self)
-        # Whether pruned blocks run as one compiled call per batch, the
+        # Whether pruned ticks and blocks run as one compiled call, the
         # cascade included (a built-in strategy on a kernel that
-        # implements it); otherwise extend() steps the cascade per tick.
+        # implements it); otherwise step() and extend() run the Python
+        # cascade per tick.  `_one_x`/`_one_skip` stage step()'s value.
         self._native_prune = (
             self._prune
             and self._kernel.runs_admission
             and self._admission.native is not None
         )
+        self._one_x = np.zeros(1, dtype=np.float64)
+        self._one_skip = np.zeros(1, dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -443,8 +446,19 @@ class FusedSpring:
     # ------------------------------------------------------------------
 
     def step(self, value: object) -> List[Tuple[int, Match]]:
-        """Consume one stream value for all queries; return confirmations."""
+        """Consume one stream value for all queries; return confirmations.
+
+        A pruned engine whose kernel runs admission itself (cext) feeds
+        the value through the compiled admission loop as a block of one
+        (one foreign call); other pruned engines step the Python cascade.
+        """
         x = self._validate_value(value)
+        if self._native_prune:
+            self._one_x[0] = 0.0 if x is None else x
+            self._one_skip[0] = x is None
+            return self._kernel.extend_pruned(
+                self._one_x, self._one_skip, self._admission
+            )
         if self._prune:
             return self._step_pruned(x)
         if x is None:

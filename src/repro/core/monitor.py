@@ -19,12 +19,15 @@ declared :class:`~repro.core.protocol.Capabilities` — no
 Internally the plan batches work along the *query* axis: bank-fusable
 matchers on one stream advance through one vectorised
 :class:`~repro.core.fused.FusedSpring` column update per tick, with
-their transform-only policies applied to the bank's emissions.  Banks
-are an execution detail — event contents and ordering are identical to
-stepping each matcher individually (in query-registration order), and
-matchers with per-query execution modes (path recording, reference
-loop, vector streams, transforms) transparently keep the per-query
-path.  Accessing a matcher via :meth:`StreamMonitor.matcher` (or
+their transform-only policies applied to the bank's emissions.  A lone
+fusable matcher is banked too where its bank kernel is compiled (cext),
+so a one-query stream's ``push_many`` is one native call per batch,
+admission included.  Banks are an execution detail — event contents
+and ordering are identical to stepping each matcher individually (in
+query-registration order), and matchers with per-query execution modes
+(path recording, reference loop, vector streams, transforms, and a
+lone matcher on the numpy reference kernel) transparently keep the
+per-query path.  Accessing a matcher via :meth:`StreamMonitor.matcher` (or
 checkpointing) syncs bank state back into the individual matchers
 first, so direct inspection — and even direct stepping — always sees
 exact, current state.
@@ -55,7 +58,8 @@ import numpy as np
 
 from repro.core.admission import resolve_admission
 from repro.core.backends import BackendSpec, resolve_backend, use_backend
-from repro.core.engine import ExecutionPlan, build_plan
+from repro.core.engine import ExecutionPlan, FusedBank, build_plan
+from repro.core.fused import FusedSpring
 from repro.core.matches import Match
 from repro.core.missing import classify_rows, first_fatal
 from repro.core.policy import decode_policies, encode_policies
@@ -549,13 +553,17 @@ class StreamMonitor:
         """
         plan = self._plans.get(stream)
         if plan is not None:
-            totals = self._prune_totals.setdefault(stream, [0, 0, 0, 0, 0])
-            totals += [0] * (5 - len(totals))
             for bank in plan.banks:
                 bank.sync()
-                for i, value in enumerate(bank.prune_counters()):
-                    totals[i] += value
+                self._fold_counters(stream, bank)
         self._plans[stream] = None
+
+    def _fold_counters(self, stream: str, bank: FusedBank) -> None:
+        """Add a retiring bank's pruning counters to the stream totals."""
+        totals = self._prune_totals.setdefault(stream, [0, 0, 0, 0, 0])
+        totals += [0] * (5 - len(totals))
+        for i, value in enumerate(bank.prune_counters()):
+            totals[i] += value
 
     def _refresh_stream(self, stream: str) -> None:
         """Write bank state back WITHOUT catching up or dropping the plan.
@@ -615,8 +623,11 @@ class StreamMonitor:
         entries by their query-name lists, and re-parks.  When this
         monitor was configured with pruning disabled, the state is
         restored through a temporary pruning plan and immediately
-        caught up — either way, subsequent events are byte-identical to
-        the uninterrupted run.
+        caught up.  A payload bank whose queries all run unbanked here
+        (a lone query saved on a compiled kernel, restored on numpy)
+        is restored the same way through a temporary engine of its
+        own, caught up into its matchers.  Either way, subsequent
+        events are byte-identical to the uninterrupted run.
         """
         if not payload:
             return
@@ -654,8 +665,24 @@ class StreamMonitor:
             if state is not None:
                 bank.engine.restore_prune_state(state)
                 matched.add(tuple(bank.names))
+        matchers = self._matchers[stream]
         for names, state in by_names.items():
-            if names in matched or state is None or not state.get("parked"):
+            if names in matched or state is None:
+                continue
+            if all(name in plan.unbanked for name in names):
+                group = [matchers[name] for name in names]
+                bank = FusedBank(
+                    engine=FusedSpring.from_springs(
+                        group, prune_buffer=buffer, backend=self._backend
+                    ),
+                    names=list(names),
+                    matchers=group,
+                )
+                bank.engine.restore_prune_state(state)
+                bank.sync()
+                self._fold_counters(stream, bank)
+                continue
+            if not state.get("parked"):
                 continue
             raise CheckpointError(
                 f"checkpoint holds parked pruning state for bank {names!r} "

@@ -2,11 +2,12 @@
 
 :class:`ServiceEngine` is the seam between the asyncio front end and
 the synchronous monitoring runtime.  Every state change — pushes,
-query lifecycle, checkpoints — funnels through one work queue consumed
-by a single dedicated thread, so the monitor itself needs no locking
-and the event order every subscriber observes is the order the engine
-produced.  The asyncio server never touches the monitor directly; it
-submits work items and awaits the returned futures.
+query lifecycle, checkpoints — and every ``/metrics`` render funnels
+through one work queue consumed by a single dedicated thread, so the
+monitor itself needs no locking and the event order every subscriber
+observes is the order the engine produced.  The asyncio server never
+touches the monitor directly; it submits work items and awaits the
+returned futures.
 
 Two execution modes behind one interface:
 
@@ -52,6 +53,7 @@ import numpy as np
 
 from repro.core.monitor import MatchEvent, StreamMonitor
 from repro.exceptions import ReproError, ServiceError, ValidationError
+from repro.obs.prometheus import render_http
 from repro.obs.service import ServiceMetrics
 from repro.runtime.checkpointer import CheckpointManager
 from repro.service import protocol
@@ -283,6 +285,15 @@ class ServiceEngine:
     def submit_checkpoint(self) -> "Future[Optional[str]]":
         return self._submit("checkpoint", ())
 
+    def submit_render(self) -> "Future[bytes]":
+        """Render the metrics registry as a full HTTP response.
+
+        Runs on the engine thread: the monitor's collectors walk its
+        streams and write bank state back, which only the thread that
+        mutates the monitor may do.
+        """
+        return self._submit("render", ())
+
     def watermark(self, stream: str) -> int:
         """Last applied tick for ``stream`` (0 when unknown)."""
         return int(self._ticks.get(stream, 0))
@@ -356,6 +367,11 @@ class ServiceEngine:
             return self._handle_stats()
         if kind == "checkpoint":
             return self._write_checkpoint()
+        if kind == "render":
+            try:
+                return render_http(self.metrics.registry)
+            except Exception as err:  # noqa: BLE001 - a scrape must not kill the engine
+                raise ServiceError(f"metrics render failed: {err!r}") from err
         raise ServiceError(f"unknown work item {kind!r}")
 
     def _handle_stop(self, checkpoint: bool, future: Future) -> None:

@@ -288,7 +288,7 @@ class MonitorServer:
                 405, b"only GET is supported\n", "text/plain; charset=utf-8"
             )
         elif path == "/metrics":
-            body = render_http(self.metrics.registry)
+            body = await self._render_metrics()
         elif path == "/healthz":
             running = self.engine.running
             body = http_response(
@@ -305,6 +305,25 @@ class MonitorServer:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+    async def _render_metrics(self) -> bytes:
+        """The ``/metrics`` response, rendered on the engine thread.
+
+        The monitor's collectors walk state the engine thread mutates
+        (streams added on hello, banks stepped by kernels that release
+        the GIL), so a scrape renders here only when no engine thread
+        runs.
+        """
+        try:
+            future = self.engine.submit_render()
+        except ServiceError:
+            return render_http(self.metrics.registry)
+        try:
+            return await asyncio.wrap_future(future)
+        except ServiceError as err:
+            return http_response(
+                500, f"{err}\n".encode(), "text/plain; charset=utf-8"
+            )
 
     # -- line protocol: hello dispatch ---------------------------------
 

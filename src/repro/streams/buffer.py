@@ -42,6 +42,8 @@ class RingBuffer:
         self.capacity = int(capacity)
         self._data = np.empty(self.capacity, dtype=np.float64)
         self._count = 0  # total values ever pushed == last absolute tick
+        # Oldest tick ever held: 1, or later after a trimmed restore.
+        self._first = 1
 
     def push(self, value: float) -> None:
         """Append one value, evicting the oldest when full."""
@@ -49,7 +51,7 @@ class RingBuffer:
         self._count += 1
 
     def __len__(self) -> int:
-        return min(self._count, self.capacity)
+        return self._count - self.oldest_tick + 1 if self._count else 0
 
     @property
     def total_pushed(self) -> int:
@@ -75,7 +77,7 @@ class RingBuffer:
         """Absolute 1-based tick of the oldest retained value."""
         if self._count == 0:
             raise ValidationError("buffer is empty")
-        return max(1, self._count - self.capacity + 1)
+        return max(self._first, self._count - self.capacity + 1)
 
     def latest(self, n: int) -> np.ndarray:
         """The ``n`` most recent values, oldest first."""
@@ -106,9 +108,14 @@ class RingBuffer:
         idx = (np.arange(start_tick - 1, end_tick)) % self.capacity
         return self._data[idx].copy()
 
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot: capacity, total pushed, retained values."""
-        n = len(self)
+    def state_dict(self, keep: Optional[int] = None) -> dict:
+        """JSON-safe snapshot: capacity, total pushed, retained values.
+
+        ``keep`` stores only the newest ``keep`` retained values; the
+        restored buffer then holds just those, and older windows raise
+        as evicted.
+        """
+        n = len(self) if keep is None else min(int(keep), len(self))
         values = self.latest(n) if n else np.empty(0, dtype=np.float64)
         return {
             "capacity": self.capacity,
@@ -141,6 +148,7 @@ class RingBuffer:
         # Replay the retained window so the modular layout is rebuilt
         # exactly: rewind the counter, then push the values back.
         self._count = int(state["count"]) - values.shape[0]
+        self._first = self._count + 1
         for value in values:
             self.push(float(value))
 

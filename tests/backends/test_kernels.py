@@ -195,6 +195,34 @@ def test_engine_reports_compiled_step(backend, rng):
     assert engine.compiled_step == backend.compiled
 
 
+@pytest.mark.parametrize("prune", [True, False], ids=["prune", "noprune"])
+def test_lone_bank_hands_back_a_full_emission_buffer(backend, prune):
+    """A one-query compiled bank buffers 4 confirmations per foreign
+    call: a batch confirming more hands back to Python mid-batch and
+    resumes, emitting exactly what per-tick push emits."""
+    values = [1.0, 0.1, 5.0, 0.1, 1.0, 1.0] * 8  # one spike every 6 ticks
+
+    def monitor():
+        m = StreamMonitor(backend=backend, prune=prune)
+        m.add_stream("s")
+        m.add_query("q", [0.0, 5.0, 0.0], epsilon=2.0)
+        return m
+
+    batched, stepped = monitor(), monitor()
+    got = batched.push_many("s", values)
+    want = [e for v in values for e in stepped.push("s", v)]
+    assert len(want) > 4
+
+    def sig(events):
+        return [(e.query, e.match.start, e.match.end, e.match.distance,
+                 e.match.output_time) for e in events]
+
+    assert sig(got) == sig(want)
+    if backend.compiled:
+        (bank,) = batched._plans["s"].banks
+        assert bank.engine._kernel.emit_capacity == 4
+
+
 # ----------------------------------------------------------------------
 # warm-up and serialisation hygiene
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._serde import decode_floats
 from repro.core import FusedSpring, QueryBank, StreamMonitor
 from repro.core.admission import (
     AUTO_GROUP_MIN_QUERIES,
@@ -262,6 +263,48 @@ class TestStrategyIsRuntimeProperty:
             ] == [
                 (qi, m.start, m.end, m.distance) for qi, m in expected
             ]
+
+
+class TestSnapshotRing:
+    """A snapshot stores only the ring values a parked row can replay:
+    ticks ``min(park_pos)+1..total``, none while nothing is parked."""
+
+    @staticmethod
+    def _ring(state):
+        return decode_floats(state["buffer"]["values"])
+
+    def test_no_values_while_nothing_parked(self):
+        engine = _engine()
+        for value in WARM:
+            engine.step(value)
+        assert not engine.parked.any()
+        state = engine.prune_state_dict()
+        assert state["buffer"]["count"] == len(WARM)
+        assert self._ring(state).size == 0
+
+    @pytest.mark.parametrize("admission", ["flat", "grouped"])
+    def test_mid_park_values_start_after_the_oldest_park(self, admission):
+        engine = _park_all(_engine(admission, 2), cold_ticks=6)
+        cascade = engine.admission
+        total = cascade.buffer.total_pushed
+        oldest = int(cascade.park_pos[cascade.parked].min())
+        values = self._ring(engine.prune_state_dict())
+        assert 0 < values.size == total - oldest < total
+        np.testing.assert_array_equal(values, cascade.buffer.latest(values.size))
+
+    def test_trimmed_snapshot_resumes_by_replay(self):
+        """Waking every parked row replays from the restored ring alone
+        and lands on the uninterrupted engine's columns and payload."""
+        engine = _park_all(_engine(), cold_ticks=6)
+        twin = _park_all(_engine(), cold_ticks=6)
+        twin.restore_prune_state(engine.prune_state_dict())
+        for value in [0.0, 100.0, 100.5, 0.0, 0.0]:
+            assert [(qi, m) for qi, m in twin.step(value)] == [
+                (qi, m) for qi, m in engine.step(value)
+            ]
+        assert twin.replays == engine.replays > 0
+        np.testing.assert_array_equal(twin._d, engine._d)
+        assert twin.prune_state_dict() == engine.prune_state_dict()
 
 
 class TestAdmissionBase:

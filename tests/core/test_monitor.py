@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import StreamMonitor
+from repro.core.backends import available_backends
 from repro.exceptions import ValidationError
+from repro.obs.tracing import disable_tracing, enable_tracing
 
 
 def _pattern_stream(rng, pattern, pad=25, offset=9.0):
@@ -223,3 +225,55 @@ class TestBatchedExecution:
         events += monitor.flush()
         assert [e.query for e in events] == ["plain_a", "pathy", "plain_b"]
         assert events[1].match.path is not None
+
+
+needs_cext = pytest.mark.skipif(
+    "cext" not in available_backends(), reason="needs the compiled cext backend"
+)
+
+
+class TestExecutionPlan:
+    """Which matchers bank: every fusable group of two or more, and a
+    lone fusable query only where its bank kernel is compiled."""
+
+    @staticmethod
+    def _lone(backend, **kwargs):
+        monitor = StreamMonitor(backend=backend)
+        monitor.add_stream("s")
+        monitor.add_query("q", [0.0, 5.0, 0.0], epsilon=2.0, **kwargs)
+        monitor.push_many("s", [1.0, 1.0, 1.0])  # builds the plan
+        return monitor, monitor._plans["s"]
+
+    @needs_cext
+    def test_lone_spring_banks_on_cext(self):
+        monitor, plan = self._lone("cext")
+        assert [bank.names for bank in plan.banks] == [["q"]]
+        assert plan.unbanked == ()
+        tracer = enable_tracing()
+        try:
+            monitor.push_many("s", np.linspace(0.0, 1.0, 10))
+        finally:
+            disable_tracing()
+        names = [event["name"] for event in tracer.events()]
+        assert names.count("kernel.extend_bank") == 1
+        assert "kernel.update_column" not in names
+
+    def test_lone_spring_stays_unbanked_on_numpy(self):
+        _, plan = self._lone("numpy")
+        assert plan.banks == []
+        assert plan.unbanked == ("q",)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"matcher": "constrained", "max_stretch": 2.0},
+            {"record_path": True},
+            {"matcher": "dynnorm"},
+        ],
+        ids=["constrained", "record_path", "dynnorm"],
+    )
+    def test_unfusable_lone_queries_stay_unbanked(self, backend, kwargs):
+        _, plan = self._lone(backend, **kwargs)
+        assert plan.banks == []
+        assert plan.unbanked == ("q",)

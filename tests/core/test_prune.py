@@ -10,6 +10,8 @@ pruning-less engine).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -252,10 +254,12 @@ class TestValidationSurface:
 
 
 class TestCheckpointRoundTrip:
-    def _monitor(self, prune=True, prune_buffer=8):
-        monitor = StreamMonitor(prune=prune, prune_buffer=prune_buffer)
+    def _monitor(self, prune=True, prune_buffer=8, queries=QUERIES, backend=None):
+        monitor = StreamMonitor(
+            prune=prune, prune_buffer=prune_buffer, backend=backend
+        )
         monitor.add_stream("s")
-        for i, query in enumerate(QUERIES):
+        for i, query in enumerate(queries):
             monitor.add_query(f"q{i}", query, epsilon=EPSILON)
         return monitor
 
@@ -266,26 +270,68 @@ class TestCheckpointRoundTrip:
             for e in events
         ]
 
-    @pytest.mark.parametrize("resume_prune", [True, False])
-    def test_mid_park_snapshot_resumes_exactly(self, resume_prune):
+    @pytest.mark.parametrize(
+        "resume_prune, queries",
+        [(True, QUERIES), (False, QUERIES),
+         (True, QUERIES[:1]), (False, QUERIES[:1])],
+        ids=["True", "False", "True-lone", "False-lone"],
+    )
+    def test_mid_park_snapshot_resumes_exactly(self, resume_prune, queries):
         stream = WARM + [0.0] * 12 + [100.0, 100.5, 99.8, 0.0, 0.0]
         cut = 9  # mid-park: inside the first cold span
 
-        reference = self._monitor()
+        reference = self._monitor(queries=queries)
         expected = []
         for value in stream:
             expected.extend(reference.push("s", value))
 
-        first = self._monitor()
+        first = self._monitor(queries=queries)
         events = []
         for value in stream[:cut]:
             events.extend(first.push("s", value))
+        if not first._plans["s"].banks:
+            pytest.skip("a lone query is banked, and parks, only on a "
+                        "compiled bank kernel")
         payload = save_monitor(first)
         assert "prune" in payload  # the snapshot really was mid-park
         restored = load_monitor(payload, prune=resume_prune, prune_buffer=8)
         for value in stream[cut:]:
             events.extend(restored.push("s", value))
         assert self._sig(events) == self._sig(expected)
+
+    @pytest.mark.skipif(
+        "cext" not in available_backends(),
+        reason="needs the compiled cext backend, the one that banks a lone query",
+    )
+    @pytest.mark.parametrize("resume_prune", [True, False])
+    @pytest.mark.parametrize("load_on", ["numpy", "cext"])
+    def test_lone_mid_park_snapshot_resumes_on_any_backend(
+        self, load_on, resume_prune
+    ):
+        """A lone query parks only where it is banked (cext); its
+        snapshot still loads where it runs unbanked, the parked span
+        caught up into the matcher."""
+        stream = WARM + [0.0] * 12 + [100.0, 100.5, 99.8, 0.0, 0.0]
+        cut = 9
+        lone = QUERIES[:1]
+        reference = self._monitor(queries=lone, backend="cext")
+        expected = [e for v in stream for e in reference.push("s", v)]
+
+        first = self._monitor(queries=lone, backend="cext")
+        events = [e for v in stream[:cut] for e in first.push("s", v)]
+        before = first.prune_stats("s")
+        payload = save_monitor(first)
+        assert payload["prune"]["s"]["banks"][0]["prune"]["parked"]
+        restored = load_monitor(
+            payload, prune=resume_prune, prune_buffer=8, backend=load_on
+        )
+        resumed = restored.prune_stats("s")
+        for value in stream[cut:]:
+            events.extend(restored.push("s", value))
+        after = restored.prune_stats("s")
+        assert json.dumps(self._sig(events)) == json.dumps(self._sig(expected))
+        for key, value in before.items():
+            assert value <= resumed[key] <= after[key]
 
     def test_snapshot_is_non_destructive(self):
         """Saving must not force parked queries to catch up."""

@@ -62,6 +62,9 @@ def _expected_spans(compiled: bool, prune: bool, mode: str) -> set:
         # The unbanked constrained query steps through Spring.step.
         names = {"monitor.push", "engine.bank_step", "kernel.update_column",
                  "policy.report"}
+        if compiled and prune:
+            # One value at a time through the compiled admission loop.
+            return names | {"kernel.extend_bank"}
         names.add("kernel.step_bank" if compiled else "kernel.update_columns")
     elif compiled:
         # One native call per batch, admission included.

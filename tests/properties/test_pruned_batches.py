@@ -3,8 +3,10 @@
 On a bank kernel that runs admission natively (cext),
 ``FusedSpring.extend`` makes the whole cascade's decisions — ring push,
 corridor test (flat, or grouped with descent), wake by replay or deep
-wake, parking — inside one compiled call per batch, while
-``FusedSpring.step`` keeps the Python cascade.  The contract is that
+wake, parking — inside one compiled call per batch, and
+``FusedSpring.step`` runs the same loop on a batch of one (the Python
+cascade it is held to is the numpy backend's, in
+``test_backend_parity.py``).  The contract is that
 nothing observable depends on how a stream is cut into batches: an
 engine fed value by value and a twin fed random batches hold
 byte-identical columns, tick counters, parked masks and prune payloads

@@ -21,6 +21,8 @@ What the line protocol promises beyond not-crashing (see
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 import time
 
 import numpy as np
@@ -388,3 +390,53 @@ def test_stop_is_idempotent_and_rejects_new_work(service_server):
     with pytest.raises(OSError):
         ServiceConnection("127.0.0.1", port, timeout=2.0)
     producer.close()
+
+
+def test_scrapes_race_new_streams_and_pushes(server):
+    """``/metrics`` renders on the engine thread, so scraping while
+    producers say hello on new streams and push never fails: the
+    collectors walk the monitor only where it is mutated."""
+    errors = []
+
+    def produce(tag: str) -> None:
+        try:
+            for i in range(40):
+                producer = ProducerClient(
+                    "127.0.0.1", server.port, stream=f"{tag}{i}"
+                )
+                producer.push(PULSE * 4)
+                producer.close()
+        except Exception as err:  # noqa: BLE001 - reported below
+            errors.append(err)
+
+    def scrape() -> dict:
+        status, _, body = _http_get(server.port, "/metrics")
+        assert status == 200
+        families = parse_prometheus(body.decode("utf-8"))
+        assert "spring_matcher_ticks_total" in families
+        return families
+
+    producers = [
+        threading.Thread(target=produce, args=(tag,)) for tag in ("a", "b")
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        for thread in producers:
+            thread.start()
+        scrapes = 0
+        while any(thread.is_alive() for thread in producers) or scrapes < 3:
+            scrape()
+            scrapes += 1
+    finally:
+        sys.setswitchinterval(switch)
+        for thread in producers:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in producers)
+    assert not errors
+    families = scrape()
+    streams = {
+        labels["stream"]
+        for _, labels, _ in families["service_pushed_ticks_total"]
+    }
+    assert streams >= {f"{tag}{i}" for tag in "ab" for i in range(40)}

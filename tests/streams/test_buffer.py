@@ -80,6 +80,23 @@ class TestRingBuffer:
         assert buf.oldest_tick == 7
         assert buf.total_pushed == 10
 
+    def test_trimmed_snapshot_holds_only_the_kept_ticks(self):
+        buf = RingBuffer(8)
+        for value in range(1, 11):  # tick t holds value t
+            buf.push(float(value))
+        restored = RingBuffer.from_state(buf.state_dict(keep=3))
+        assert restored.capacity == 8 and restored.total_pushed == 10
+        assert len(restored) == 3 and restored.oldest_tick == 8
+        np.testing.assert_allclose(restored.window(8, 10), [8.0, 9.0, 10.0])
+        with pytest.raises(ValidationError):
+            restored.window(7, 10)
+        restored.push(11.0)
+        np.testing.assert_allclose(restored.latest(8), [8.0, 9.0, 10.0, 11.0])
+        assert restored.state_dict() == RingBuffer.from_state(
+            restored.state_dict()
+        ).state_dict()
+        assert RingBuffer.from_state(buf.state_dict(keep=0)).oldest_tick == 11
+
 
 # ----------------------------------------------------------------------
 # SharedRingBuffer
