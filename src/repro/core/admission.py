@@ -271,6 +271,7 @@ class AdmissionCascade:
                         "pruning certification violated: a parked span "
                         "produced a capture or best-match update at replay"
                     )
+        engine._reset_padding(d_sub, s_sub, rows)
         engine._d[rows] = d_sub
         engine._s[rows] = s_sub
         engine._ticks[rows] = ticks_sub

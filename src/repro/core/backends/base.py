@@ -30,11 +30,15 @@ fused multiply-add rounds once where NumPy rounds twice).  NaN
 both-NaN additions propagate shape-dependent payloads (SIMD loops vs
 scalar tails), every downstream consumer compares (false for any NaN),
 and the fused bank path never produces NaN at all — so parity checks
-canonicalise NaNs before comparing bytes.  The cross-backend
-parity suite (``tests/properties/test_backend_parity.py``) enforces
-this on match streams, column state, and error paths alike; the
-argument for *why* the compiled recurrence can be bit-identical lives
-in ``docs/algorithm.md`` §12.
+canonicalise NaNs before comparing bytes.  The contract covers a
+ragged bank's padded cells (columns past a query's length) too: they
+hold ``+inf`` in ``d`` and ``0`` in ``s`` on every backend, because a
+compiled kernel never writes them and the reference kernel resets them
+after each column update.  The cross-backend parity suite
+(``tests/properties/test_backend_parity.py``) enforces this on match
+streams, column state, and error paths alike; the argument for *why*
+the compiled recurrence can be bit-identical lives in
+``docs/algorithm.md`` §12.
 
 Backends are runtime properties of an engine, never part of its
 serialised state: a checkpoint written under one backend restores under
@@ -77,13 +81,14 @@ class BankKernel:
     :meth:`KernelBackend.bank_kernel`.  This class is the vectorised
     reference every backend mints unless it compiles its own fused step
     for the bank's local distance: per tick, the bank's local costs,
-    one ``backend.update_columns`` call over the stepped rows, then the
-    engine's vectorised Figure-4 report (traced as
-    ``kernel.update_columns`` and ``policy.report``).  A compiled kernel
-    (cext) overrides the three stepping methods with native calls that
-    advance the engine's master arrays *in place* and return
-    confirmations in exactly the order this reference reports them
-    (ascending query index per tick, ticks in stream order).
+    one ``backend.update_columns`` call over the stepped rows (padded
+    cells then reset to ``+inf`` / ``0``), then the engine's vectorised
+    Figure-4 report (traced as ``kernel.update_columns`` and
+    ``policy.report``).  A compiled kernel (cext) overrides the three
+    stepping methods with native calls that advance the engine's master
+    arrays *in place* and return confirmations in exactly the order
+    this reference reports them (ascending query index per tick, ticks
+    in stream order).
     """
 
     __slots__ = ("_engine", "_update_columns")
@@ -113,6 +118,7 @@ class BankKernel:
             "kernel.update_columns", self._update_columns,
             engine._d, engine._s, cost, engine._ticks,
         )
+        engine._reset_padding(engine._d, engine._s)
         return tracing.call("policy.report", engine._report_logic)
 
     def step_rows(self, x: float, hot: np.ndarray) -> List[Tuple[int, Match]]:
@@ -131,6 +137,7 @@ class BankKernel:
             "kernel.update_columns", self._update_columns,
             engine._d[rows], engine._s[rows], cost, engine._ticks[rows],
         )
+        engine._reset_padding(d_new, s_new, rows)
         engine._d[rows] = d_new
         engine._s[rows] = s_new
         return tracing.call("policy.report", engine._report_logic, hot)

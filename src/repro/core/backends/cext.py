@@ -49,8 +49,13 @@ outermost over a *transposed* copy of the query bank and processes two
 queries per 128-bit SSE2 vector, expressing every select as a compare
 mask plus bitwise blend (``cmple/cmplt/cmpord`` + ``and/andnot/or``)
 that never leaves the SIMD domain — branch-free, ~2.5 ns/cell, and
-bit-identical because mask blends select operand bits verbatim.  A
-scalar branch-free fallback (`row_sweep_one`) handles odd tails and
+bit-identical because mask blends select operand bits verbatim.  Rows
+are swept longest query first, so column ``j`` runs only the prefix of
+rows whose query is longer than ``j``: a tick costs the sum of the
+stepped queries' lengths, never a padded cell (those keep the
+``+inf`` / ``0`` the engine starts them at).  An odd prefix runs its
+last row as a pair that stores one lane.  A scalar branch-free form
+(`row_sweep_one`, bounded by the row's own length) serves replays and
 non-SSE2 targets.
 
 **Pruned batches.**  `spring_extend_pruned` runs the admission cascade
@@ -120,10 +125,12 @@ _PP_EMIT_D = 17  # double*  emission ring: distance
 _PP_EMIT_TS = 18  # int64_t* emission ring: start
 _PP_EMIT_TE = 19  # int64_t* emission ring: end
 _PP_EMIT_T = 20  # int64_t* emission ring: output time
-_PP_SCR_F = 21  # double*  (3Q,) column-sweep chain state (csum/running/diag)
-_PP_SCR_I = 22  # int64_t* (3Q,) column-sweep chain state (src/start/diag_s)
+_PP_SCR_F = 21  # double*  (3, Q+1) column-sweep chain state (csum/running/diag)
+_PP_SCR_I = 22  # int64_t* (3, Q+1) column-sweep chain state (src/start/diag_s)
 _PP_YT = 23  # double*  (m_max, Q) transposed query bank (vector sweep)
-_PP_SLOTS = 24
+_PP_ORDER = 24  # int64_t* (2, Q+1) sweep order: whole bank, hot-subset scratch
+_PP_ACTIVE = 25  # int64_t* (2, m_max+1) rows with >= c cells, same halves
+_PP_SLOTS = 26
 
 # Admission-block slots of the pruned extend loop.  Array addresses are
 # bound once per cascade (ring and group index again when they are
@@ -192,6 +199,8 @@ _SOURCE = r"""
 #define PP_SCR_F 21
 #define PP_SCR_I 22
 #define PP_YT 23
+#define PP_ORDER 24
+#define PP_ACTIVE 25
 
 /* Admission block of the pruned extend loop (mirrors the _AP_* slots). */
 #define AP_GROUPED 0
@@ -295,12 +304,13 @@ static void row_update(const double *dp, const int64_t *sp,
     }
 }
 
-/* In-place column update for one query row, the whole recurrence in
- * registers.  Used for odd-row tails of the vector sweep and as the
- * building block of the portable fallback. */
+/* In-place column update for one query row over its own m_q cells (the
+ * padded tail is never touched), the whole recurrence in registers.
+ * Used by replays and as the portable fallback of the vector sweep. */
 static void row_sweep_one(const int64_t *pp, double x, int64_t qi) {
     int64_t mmax = pp[PP_MMAX];
     int64_t stride = mmax + 1;
+    int64_t m = IPTR(pp[PP_MLEN])[qi];
     double *d = DPTR(pp[PP_D]) + qi * stride;
     int64_t *s = IPTR(pp[PP_S]) + qi * stride;
     const double *y = DPTR(pp[PP_Y]) + qi * mmax;
@@ -318,7 +328,7 @@ static void row_sweep_one(const int64_t *pp, double x, int64_t qi) {
     int64_t src = 0, start_src = tick;
     d[1] = c0; /* src == j: keep the exact e */
     s[1] = tick;
-    for (int64_t j = 1; j < mmax; j++) {
+    for (int64_t j = 1; j < m; j++) {
         double c = local_cost(kind, x, y[j]);
         double v = d[j + 1];
         int64_t sv = s[j + 1];
@@ -340,6 +350,38 @@ static void row_sweep_one(const int64_t *pp, double x, int64_t qi) {
     (void)src;
 }
 
+/* Order the rows a sweep visits longest query first: `out` receives
+ * every row of the bank (rows == 0) or rows[0..n), and active[c] the
+ * number of them whose query has at least c cells, so column j runs the
+ * prefix of active[j + 1] rows.  A counting sort over the lengths
+ * (equal lengths keep their relative order).  out[n] repeats out[n - 1]
+ * so that an odd active prefix can load a full pair. */
+static void order_rows(const int64_t *pp, int64_t n, const int64_t *rows,
+                       int64_t *out, int64_t *active) {
+    int64_t mmax = pp[PP_MMAX];
+    const int64_t *mlen = IPTR(pp[PP_MLEN]);
+    memset(active, 0, (size_t)(mmax + 1) * sizeof(int64_t));
+    for (int64_t r = 0; r < n; r++) active[mlen[rows ? rows[r] : r]]++;
+    /* active[c]: where the run of length c starts (the longer rows) */
+    for (int64_t c = mmax, start = 0; c >= 1; c--) {
+        int64_t k = active[c];
+        active[c] = start;
+        start += k;
+    }
+    for (int64_t r = 0; r < n; r++) {
+        int64_t qi = rows ? rows[r] : r;
+        out[active[mlen[qi]]++] = qi;
+    }
+    /* each run's end: active[c] now counts the rows of length >= c */
+    out[n] = out[n - 1];
+}
+
+/* The whole bank's sweep order, computed once when a kernel binds. */
+void spring_bank_order(int64_t pp_addr) {
+    const int64_t *pp = IPTR(pp_addr);
+    order_rows(pp, pp[PP_Q], 0, IPTR(pp[PP_ORDER]), IPTR(pp[PP_ACTIVE]));
+}
+
 /* In-place column update for the whole bank (or a row subset), swept
  * column-by-column with the per-row scan state (cumulative cost,
  * running minimum, argmin, saved diagonal) spilled to scratch arrays.
@@ -349,8 +391,13 @@ static void row_sweep_one(const int64_t *pp, double x, int64_t qi) {
  * per 128-bit vector with the compare masks and blends staying in the
  * SIMD domain (branch-free: the selects are unpredictable, and the
  * lane-wise cmple/cmplt/cmpord semantics are exactly NumPy's — false
- * for NaN, strict < for new minima, bitwise-exact blends).  Also
- * increments the tick counters. */
+ * for NaN, strict < for new minima, bitwise-exact blends).
+ *
+ * Rows are visited longest query first, so column j runs only the
+ * prefix of rows whose query has a cell j + 1: a tick sweeps the sum of
+ * the stepped queries' lengths (Lemma 4's O(m) per query), never a
+ * padded cell.  An odd prefix runs its last row as a pair whose second
+ * lane is loaded but not stored.  Also increments the tick counters. */
 static void bank_update_sweep(const int64_t *pp, double x, int64_t nrows,
                               const int64_t *rows) {
     int64_t q = pp[PP_Q], mmax = pp[PP_MMAX];
@@ -360,23 +407,32 @@ static void bank_update_sweep(const int64_t *pp, double x, int64_t nrows,
         row_sweep_one(pp, x, rows ? rows[r] : r);
     }
 #else
+    if (n <= 0) return;
+    int64_t *order = IPTR(pp[PP_ORDER]);
+    int64_t *active = IPTR(pp[PP_ACTIVE]);
+    if (rows) { /* a hot subset, ordered in the scratch halves */
+        order += q + 1;
+        active += mmax + 1;
+        order_rows(pp, n, rows, order, active);
+    }
     int64_t stride = mmax + 1;
     double *dd = DPTR(pp[PP_D]);
     int64_t *ss = IPTR(pp[PP_S]);
     int64_t *ticks = IPTR(pp[PP_TICKS]);
     const double *yt = DPTR(pp[PP_YT]); /* (m_max, q) transposed bank */
     int64_t kind = pp[PP_KIND];
+    int64_t sq = q + 1; /* scratch stride: a spare slot for the odd lane */
     double *csum = DPTR(pp[PP_SCR_F]);
-    double *running = csum + q;
-    double *diag_d = csum + 2 * q;
+    double *running = csum + sq;
+    double *diag_d = csum + 2 * sq;
     int64_t *src = IPTR(pp[PP_SCR_I]);
-    int64_t *start_src = src + q;
-    int64_t *diag_s = src + 2 * q;
-    int64_t npair = n & ~(int64_t)1;
+    int64_t *start_src = src + sq;
+    int64_t *diag_s = src + 2 * sq;
+    int64_t mtop = IPTR(pp[PP_MLEN])[order[0]]; /* longest swept query */
 
     /* j == 0: e = cost, start = tick (star-row entry wins row 1). */
-    for (int64_t r = 0; r < npair; r++) {
-        int64_t qi = rows ? rows[r] : r;
+    for (int64_t r = 0; r < n; r++) {
+        int64_t qi = order[r];
         int64_t tick = ++ticks[qi];
         double *d = dd + qi * stride;
         int64_t *s = ss + qi * stride;
@@ -394,12 +450,13 @@ static void bank_update_sweep(const int64_t *pp, double x, int64_t nrows,
     }
     const __m128d xv = _mm_set1_pd(x);
     const __m128d sign = _mm_set1_pd(-0.0);
-    for (int64_t j = 1; j < mmax; j++) {
+    for (int64_t j = 1; j < mtop; j++) {
+        int64_t na = active[j + 1]; /* rows with m_q > j */
         const double *yrow = yt + j * q;
         const __m128d jv = _mm_castsi128_pd(_mm_set1_epi64x(j));
-        for (int64_t r = 0; r < npair; r += 2) {
-            int64_t qi0 = rows ? rows[r] : r;
-            int64_t qi1 = rows ? rows[r + 1] : r + 1;
+        for (int64_t r = 0; r < na; r += 2) {
+            int64_t qi0 = order[r];
+            int64_t qi1 = order[r + 1];
             double *d0 = dd + qi0 * stride + j + 1;
             double *d1 = dd + qi1 * stride + j + 1;
             int64_t *s0 = ss + qi0 * stride + j + 1;
@@ -446,15 +503,14 @@ static void bank_update_sweep(const int64_t *pp, double x, int64_t nrows,
             /* src == j exactly when this cell became the new minimum */
             __m128d dnew = _mm_or_pd(
                 _mm_and_pd(nm, e), _mm_andnot_pd(nm, _mm_add_pd(cs, newrun)));
-            _mm_storel_pd(d0, dnew);
-            _mm_storeh_pd(d1, dnew);
             __m128i ssi = _mm_castpd_si128(ssv);
+            _mm_storel_pd(d0, dnew);
             _mm_storel_epi64((__m128i *)s0, ssi);
-            _mm_storel_epi64((__m128i *)s1, _mm_unpackhi_epi64(ssi, ssi));
+            if (r + 1 < na) { /* the last lane of an odd prefix is idle */
+                _mm_storeh_pd(d1, dnew);
+                _mm_storel_epi64((__m128i *)s1, _mm_unpackhi_epi64(ssi, ssi));
+            }
         }
-    }
-    if (n & 1) {
-        row_sweep_one(pp, x, rows ? rows[n - 1] : n - 1);
     }
 #endif
 }
@@ -480,11 +536,11 @@ static int64_t row_report(const int64_t *pp, int64_t qi, int64_t n_emit) {
 
     double dm0 = *dmin;
     if (isfinite(dm0) && dm0 <= eps) {
-        /* Equation 9 over the valid cells 1..m_q; padded cells are
-         * always blocked by construction (the NumPy path masks them).
-         * Branch-free accumulation: the per-cell outcome is
-         * unpredictable, and the scan is short enough that finishing
-         * it beats mispredicting an early exit.  `dm0 <= d[c]` is
+        /* Equation 9 over the valid cells 1..m_q; padded cells hold
+         * +inf, which blocks them by itself.  Branch-free
+         * accumulation: the per-cell outcome is unpredictable, and the
+         * scan is short enough that finishing it beats mispredicting
+         * an early exit.  `dm0 <= d[c]` is
          * d[c] >= dm0 with NumPy's false-for-NaN semantics. */
         int64_t blocked_all = 1;
         int64_t te_v0 = *te;
@@ -501,12 +557,10 @@ static int64_t row_report(const int64_t *pp, int64_t qi, int64_t n_emit) {
                 n_emit++;
             }
             /* Reset: forget the reported optimum and kill every path
-             * that started inside it (the NumPy reset spans all m_max
-             * cells, padded region included, keeping columns
-             * bit-identical across backends). */
+             * that started inside it (padded cells are +inf already). */
             int64_t te_v = *te;
             *dmin = HUGE_VAL;
-            for (int64_t c = 1; c <= mmax; c++) {
+            for (int64_t c = 1; c <= mlen; c++) {
                 if (s[c] <= te_v) d[c] = HUGE_VAL;
             }
         }
@@ -616,7 +670,7 @@ static int wake_rows(const int64_t *pp, int64_t *ap, const int64_t *rows,
         if (span <= 0) continue;
         if (total - p > cap) {
             double *d = dd + r * stride;
-            for (int64_t c = 1; c <= mmax; c++) d[c] = HUGE_VAL;
+            for (int64_t c = 1; c <= mlen[r]; c++) d[c] = HUGE_VAL;
             ticks[r] += span;
             continue;
         }
@@ -881,6 +935,8 @@ def _build_library(compiler: str) -> Tuple[ctypes.CDLL, str]:
     lib.spring_extend_bank.argtypes = [i64, i64, i64, i64, i64]
     lib.spring_extend_pruned.restype = i64
     lib.spring_extend_pruned.argtypes = [i64, i64, i64, i64, i64]
+    lib.spring_bank_order.restype = None
+    lib.spring_bank_order.argtypes = [i64]
     lib.spring_update_columns.restype = None
     lib.spring_update_columns.argtypes = [i64] * 8
     lib.spring_update_column.restype = None
@@ -980,7 +1036,8 @@ class _CExtBankKernel(BankKernel):
 
     __slots__ = (
         "_lib", "_q", "_pp", "_pp_addr", "_scr_f", "_scr_i", "_yt",
-        "_ap", "_ap_addr", "_scr_adm", "_cascade", "_ring", "_index",
+        "_order", "_active", "_ap", "_ap_addr", "_scr_adm", "_cascade",
+        "_ring", "_index",
         "_emit_q", "_emit_d", "_emit_ts", "_emit_te", "_emit_t",
     )
 
@@ -1003,11 +1060,15 @@ class _CExtBankKernel(BankKernel):
         self._emit_t = np.empty(cap, dtype=np.int64)
         self._lib = backend._lib
         self._q = bank.q
-        self._scr_f = np.empty(3 * bank.q, dtype=np.float64)
-        self._scr_i = np.empty(3 * bank.q, dtype=np.int64)
+        self._scr_f = np.empty(3 * (bank.q + 1), dtype=np.float64)
+        self._scr_i = np.empty(3 * (bank.q + 1), dtype=np.int64)
         # Transposed copy of the (zero-padded) query bank for the
         # vectorised column sweep: adjacent rows sit in adjacent lanes.
         self._yt = np.ascontiguousarray(bank.padded[:, :, 0].T)
+        # Sweep order, longest query first: the whole bank's (computed
+        # below, once) and scratch for each tick's hot subset.
+        self._order = np.empty(2 * (bank.q + 1), dtype=np.int64)
+        self._active = np.empty(2 * (bank.m_max + 1), dtype=np.int64)
         pp = np.zeros(_PP_SLOTS, dtype=np.int64)
         pp[_PP_KIND] = _KIND_CODES[engine._prune_kind]
         pp[_PP_Q] = bank.q
@@ -1035,6 +1096,8 @@ class _CExtBankKernel(BankKernel):
             (_PP_SCR_F, self._scr_f),
             (_PP_SCR_I, self._scr_i),
             (_PP_YT, self._yt),
+            (_PP_ORDER, self._order),
+            (_PP_ACTIVE, self._active),
         ):
             if not arr.flags["C_CONTIGUOUS"]:  # pragma: no cover - invariant
                 raise ValidationError("bank kernel requires contiguous arrays")
@@ -1042,6 +1105,7 @@ class _CExtBankKernel(BankKernel):
         pp[_PP_EMIT_CAP] = self.emit_capacity
         self._pp = pp  # keeps the block alive; addresses stay valid
         self._pp_addr = int(pp.ctypes.data)
+        self._lib.spring_bank_order(self._pp_addr)
 
         ap = np.zeros(_AP_SLOTS, dtype=np.int64)
         self._scr_adm = np.empty(3 * bank.q, dtype=np.int64)

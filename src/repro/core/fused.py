@@ -14,12 +14,15 @@ not arithmetic.  This module amortises that overhead across queries:
   bookkeeping of Figure 4 (``d_min``, ``t_s``, ``t_e``, the Equation 9
   confirmation) is likewise vectorised across the Q axis.
 
-Padding is benign by construction: the recurrence at cell ``i`` only
-reads cells ``<= i``, so a shorter query's valid region is never
-contaminated by the padded tail, and the Equation 9 check masks padded
-cells as always-blocked.  Every decision therefore compares exactly the
-numbers the per-query engine would compare, and the emitted matches are
-identical (property-tested in ``tests/core/test_fused.py`` and
+Padding is inert by construction: the recurrence at cell ``i`` only
+reads cells ``<= i``, so a shorter query's valid region never sees the
+padded tail, and padded cells hold a fixed ``+inf`` distance and ``0``
+start on every backend (cext sweeps only each query's own cells; the
+reference kernel resets the padding after each column update), so
+Equation 9 finds them blocked without a mask.  Every decision therefore
+compares exactly the numbers the per-query engine would compare, and
+the emitted matches are identical (property-tested in
+``tests/core/test_fused.py`` and
 ``tests/properties/test_fused_equivalence.py``).
 
 **Exact lower-bound pruning.**  With ``prune_buffer`` set, the engine
@@ -280,8 +283,11 @@ class FusedSpring:
         self._rows = np.arange(q, dtype=np.int64)
         self._end = bank.lengths  # d_m lives at column m_q per query
         if bank.ragged:
-            # Padded cells (column > m_q) are garbage; Equation 9 must
-            # treat them as always-blocked.
+            # Padded cells (column > m_q) hold the +inf / 0 written above
+            # on every backend: cext never sweeps them, and the reference
+            # kernel puts them back after each column update
+            # (_reset_padding).  A +inf distance blocks Equation 9 by
+            # itself.
             cols = np.arange(1, m_max + 1, dtype=np.int64)
             self._pad_mask: Optional[np.ndarray] = cols[None, :] > self._end[:, None]
         else:
@@ -574,8 +580,6 @@ class FusedSpring:
             blocked = (d[:, 1:] >= self._dmin[:, None]) | (
                 s[:, 1:] > self._te[:, None]
             )
-            if self._pad_mask is not None:
-                blocked |= self._pad_mask
             emit = pending & blocked.all(axis=1)
             for qi in np.flatnonzero(emit):
                 out.append((int(qi), self._emit(int(qi))))
@@ -612,6 +616,26 @@ class FusedSpring:
         self._dmin[qi] = np.inf
         stale = self._s[qi, 1:] <= self._te[qi]
         self._d[qi, 1:][stale] = np.inf
+
+    def _reset_padding(
+        self, d: np.ndarray, s: np.ndarray, rows: Optional[np.ndarray] = None
+    ) -> None:
+        """Put the padded cells of freshly updated columns back to
+        ``+inf`` / ``0``; ``d``/``s`` hold ``rows`` of the bank (every
+        row when ``None``).
+
+        A column update over the whole ``(Q, m_max)`` block writes
+        values into a shorter query's padding; this restores the fixed
+        padded representation that cext, which sweeps only each query's
+        own cells, never leaves.
+        """
+        pad = self._pad_mask
+        if pad is None:
+            return
+        if rows is not None:
+            pad = pad[rows]
+        d[:, 1:][pad] = np.inf
+        s[:, 1:][pad] = 0
 
     # ------------------------------------------------------------------
     # Helpers

@@ -224,6 +224,129 @@ def test_lone_bank_hands_back_a_full_emission_buffer(backend, prune):
 
 
 # ----------------------------------------------------------------------
+# padded cells of a ragged bank
+# ----------------------------------------------------------------------
+
+#: An odd row count, a length-1 query and a repeated length.  Rows 2 and
+#: 6 reach up to the cold level 50, so they never park: while the others
+#: are parked, the hot subset mixes lengths against index order.
+RAGGED_LENGTHS = (1, 2, 3, 5, 8, 8, 13)
+#: Replay ring capacity: longer than the short cold run below (those
+#: parks replay) and shorter than the long one (those wake deep).
+RAGGED_RING = 6
+
+
+def _ragged_springs():
+    springs = []
+    for i, m in enumerate(RAGGED_LENGTHS):
+        shape = 0.4 * np.sin(np.arange(m) * 0.7 + i)
+        if i in (2, 6):
+            shape[m // 2] = 50.0
+        springs.append(Spring(shape, epsilon=3.0))
+    return springs
+
+
+def _ragged_stream():
+    """Warm runs near 0 capture every narrow query; the first 50 blocks
+    them all at once (several emissions on one tick); cold runs park the
+    narrow queries, a short one replays and a long one wakes deep."""
+    warm = [float(0.1 * np.sin(t)) for t in range(12)]
+    nan = float("nan")
+    return (
+        warm + [50.0, 50.0, nan, 50.0]
+        + warm + [50.0] * 12
+        + warm[:8] + [nan] + warm[8:]
+    )
+
+
+def _ragged_snapshots(name):
+    """Drive ragged banks on backend ``name`` through every column path;
+    after each call, snapshot ``(label, d, s, emissions)``."""
+    stream = _ragged_stream()
+
+    def snap(label, engine, emitted):
+        return (
+            label,
+            engine._d.copy(),
+            engine._s.copy(),
+            [(qi, m.start, m.end, m.distance, m.output_time) for qi, m in emitted],
+        )
+
+    def bank(prune):
+        return FusedSpring.from_springs(
+            _ragged_springs(), backend=name,
+            prune_buffer=RAGGED_RING if prune else None,
+        )
+
+    out = []
+    for prune in (False, True):
+        engine = bank(prune)
+        for t, value in enumerate(stream):
+            out.append(snap(f"step prune={prune} t={t}", engine, engine.step(value)))
+            if prune and t == 14:  # mid short cold run: replay, no step after
+                assert engine.parked.any()
+                engine.catch_up_all()
+                out.append(snap("catch_up_all", engine, []))
+        out.append(snap(f"step prune={prune} flush", engine, engine.flush()))
+
+    engine = bank(False)
+    for t in range(0, len(stream), 5):
+        out.append(snap(f"extend t={t}", engine, engine.extend(stream[t:t + 5])))
+    out.append(snap("extend flush", engine, engine.flush()))
+
+    engines = {"pruned": bank(True)}
+    for t in range(0, len(stream), 5):
+        for key, engine in engines.items():
+            emitted = engine.extend(stream[t:t + 5])
+            out.append(snap(f"{key} extend t={t}", engine, emitted))
+        if t == 30:  # mid long cold run: restore a parked snapshot
+            engine = engines["pruned"]
+            assert engine.parked.any()
+            springs = _ragged_springs()
+            engine.write_back(springs)
+            restored = FusedSpring.from_springs(
+                springs, backend=name, prune_buffer=RAGGED_RING
+            )
+            restored.restore_prune_state(engine.prune_state_dict())
+            out.append(snap("restored", restored, []))
+            engines["restored"] = restored
+    for key, engine in engines.items():
+        assert not engine.parked.any()
+        # Some parked ticks replayed, the rest woke deep.
+        assert 0 < engine.replayed_ticks < engine.pruned_ticks
+        out.append(snap(f"{key} flush", engine, engine.flush()))
+    return out
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_ragged_bank_padding_stays_inf_and_zero(name):
+    """Padded cells hold exactly +inf / 0 after every stepping call:
+    cext never sweeps them and the reference puts them back."""
+    lengths = np.array(RAGGED_LENGTHS)
+    cols = np.arange(lengths.max() + 1)
+    pad = cols[None, :] > lengths[:, None]
+    for label, d, s, _ in _ragged_snapshots(name):
+        assert np.all(d[pad] == np.inf), label
+        assert np.all(s[pad] == 0), label
+
+
+@pytest.mark.skipif(
+    "cext" not in BACKENDS, reason="cext unavailable: no C compiler found"
+)
+def test_ragged_bank_columns_match_numpy_bytewise():
+    """Length-ordered sweeps: columns and emissions equal numpy's."""
+    got = _ragged_snapshots("cext")
+    want = _ragged_snapshots("numpy")
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (label, d, s, emitted), (_, want_d, want_s, want_emitted) in zip(
+        got, want
+    ):
+        assert emitted == want_emitted, label
+        assert d.tobytes() == want_d.tobytes(), label
+        assert s.tobytes() == want_s.tobytes(), label
+
+
+# ----------------------------------------------------------------------
 # warm-up and serialisation hygiene
 # ----------------------------------------------------------------------
 
