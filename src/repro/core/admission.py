@@ -241,16 +241,19 @@ class AdmissionCascade:
         h = int(rows.size)
         self.replays += 1
         self.replayed_ticks += int(vals.size) * h
-        d_sub = engine._d[rows]
-        s_sub = engine._s[rows]
+        # Columns past the longest replayed query are padding in every
+        # replayed row: leave them out of the slab and the update.
+        width = int(bank.lengths[rows].max())
+        d_sub = engine._d[rows, : width + 1]
+        s_sub = engine._s[rows, : width + 1]
         ticks_sub = engine._ticks[rows]
         end_sub = engine._end[rows]
         eps_sub = bank.epsilons[rows]
         best_sub = engine._best_d[rows]
         sub_rows = np.arange(h, dtype=np.int64)
-        padded_sub = bank.padded[rows]
+        padded_sub = bank.padded[rows, :width]
         finite = ~np.isnan(vals)
-        budget = max(16, _REPLAY_BLOCK_BUDGET // max(1, h * bank.m_max))
+        budget = max(16, _REPLAY_BLOCK_BUDGET // max(1, h * width))
         for lo in range(0, int(vals.size), budget):
             hi = min(lo + budget, int(vals.size))
             chunk = vals[lo:hi]
@@ -272,8 +275,8 @@ class AdmissionCascade:
                         "produced a capture or best-match update at replay"
                     )
         engine._reset_padding(d_sub, s_sub, rows)
-        engine._d[rows] = d_sub
-        engine._s[rows] = s_sub
+        engine._d[rows, : width + 1] = d_sub
+        engine._s[rows, : width + 1] = s_sub
         engine._ticks[rows] = ticks_sub
 
     def catch_up_all(self) -> None:

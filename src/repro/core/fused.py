@@ -622,18 +622,19 @@ class FusedSpring:
     ) -> None:
         """Put the padded cells of freshly updated columns back to
         ``+inf`` / ``0``; ``d``/``s`` hold ``rows`` of the bank (every
-        row when ``None``).
+        row when ``None``) over their leading columns.
 
-        A column update over the whole ``(Q, m_max)`` block writes
-        values into a shorter query's padding; this restores the fixed
-        padded representation that cext, which sweeps only each query's
-        own cells, never leaves.
+        A column update over a ``(rows, width)`` block writes values
+        into a shorter query's padding; this restores the fixed padded
+        representation that cext, which sweeps only each query's own
+        cells, never leaves.
         """
         pad = self._pad_mask
         if pad is None:
             return
         if rows is not None:
             pad = pad[rows]
+        pad = pad[:, : d.shape[1] - 1]
         d[:, 1:][pad] = np.inf
         s[:, 1:][pad] = 0
 

@@ -24,7 +24,8 @@ subscriber_evictions_total        counter    slow consumers disconnected
 ingest_queue_depth                gauge      work items queued for the engine
 inflight_ticks{stream}            gauge      unacked ticks in flight
 inflight_peak_ticks{stream}       gauge      high-water mark of the above
-apply_latency_seconds             histogram  engine apply per push batch
+apply_latency_seconds             histogram  engine apply per run of one
+                                             stream's queued pushes
 ack_latency_seconds               histogram  enqueue-to-ack, per push batch
 http_requests_total{path}         counter    HTTP requests served (/metrics)
 checkpoints_total                 counter    service checkpoints written
@@ -106,7 +107,8 @@ class ServiceMetrics:
         )
         self.apply_latency = reg.histogram(
             "service_apply_latency_seconds",
-            "Engine time applying one push batch to the monitor",
+            "Engine time applying one run of a stream's queued pushes "
+            "to the monitor",
         )
         self.ack_latency = reg.histogram(
             "service_ack_latency_seconds",

@@ -9,6 +9,17 @@ observes is the order the engine produced.  The asyncio server never
 touches the monitor directly; it submits work items and awaits the
 returned futures.
 
+Pushes are applied in runs: after taking a push the engine also takes
+every push for the same stream queued right behind it, stopping at the
+first other work item, which runs next.  Each push of a run is
+trimmed, gap-checked and cut at its first fatal value exactly as if it
+ran alone, against the watermark the pushes before it leave, and gets
+its own :class:`PushResult`; their clean values reach the monitor as
+one ``push_many`` call (a push cut short by a bad value ends that call
+after its clean prefix), the run checkpoints once, and the futures
+resolve in order.  ``push_many`` output does not depend on how a stream
+is split into batches, so runs change cost, not results.
+
 Two execution modes behind one interface:
 
 * **In-process** (``shards == 0``, the default): a
@@ -81,12 +92,12 @@ class EngineConfig:
 
 @dataclass
 class PushResult:
-    """Outcome of one push batch, in ack-frame terms.
+    """Outcome of one push frame, in ack-frame terms.
 
     ``applied`` ticks were fed to the monitor (after trimming
     ``trimmed`` already-seen replay ticks); ``watermark`` is the
     stream's tick count afterwards.  ``error`` carries the
-    ``(code, detail)`` of the first rejected tick when the batch was
+    ``(code, detail)`` of the first rejected tick when the push was
     cut short, else ``None``.
     """
 
@@ -95,6 +106,16 @@ class PushResult:
     watermark: int
     error: Optional[Tuple[str, str]] = None
     events: List[Tuple[int, MatchEvent]] = field(default_factory=list)
+
+
+def _settle(future: Optional[Future], outcome) -> None:
+    """Resolve ``future`` with ``outcome``; an exception fails it."""
+    if future is None or future.cancelled():
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 class ServiceEngine:
@@ -315,50 +336,81 @@ class ServiceEngine:
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
+        # ``item`` is the next work item: taken from the queue, or the
+        # one that ended the previous run of pushes.
+        item = None
         try:
             while True:
-                try:
-                    item = self._work.get(timeout=0.05)
-                except queue.Empty:
-                    # Idle: the sharded data plane surfaces events only
-                    # while being serviced, so pump it between pushes.
-                    if self.sharded:
-                        self._monitor.poll(0.0)
-                    continue
+                if item is None:
+                    try:
+                        item = self._work.get(timeout=0.05)
+                    except queue.Empty:
+                        # Idle: the sharded data plane surfaces events
+                        # only while being serviced, so pump it between
+                        # pushes.
+                        if self.sharded:
+                            self._monitor.poll(0.0)
+                        continue
                 kind, payload, future = item
+                if kind == "push":
+                    run, item = self._take_run(item)
+                    futures = [queued[2] for queued in run]
+                else:
+                    item, futures = None, [future]
                 self.metrics.queue_depth.set(float(self._work.qsize()))
                 if kind == "stop":
                     self._handle_stop(payload[0], future)
                     return
                 try:
-                    result = self._handle(kind, payload)
+                    if kind == "push":
+                        outcomes = self._handle_pushes(
+                            payload[0], [queued[1][1:] for queued in run]
+                        )
+                    else:
+                        outcomes = [self._handle(kind, payload)]
                 except BaseException as err:  # noqa: BLE001 - forwarded
-                    if future is not None and not future.cancelled():
-                        future.set_exception(err)
+                    for future in futures:
+                        _settle(future, err)
                     if not isinstance(err, (ReproError, protocol.ProtocolError)):
                         raise
                 else:
-                    if future is not None and not future.cancelled():
-                        future.set_result(result)
+                    for future, outcome in zip(futures, outcomes):
+                        _settle(future, outcome)
         except BaseException as err:  # noqa: BLE001 - crash containment
             self._crash = err
             self._stopped.set()
-            self._drain_pending(err)
+            self._drain_pending(err, item)
 
-    def _drain_pending(self, err: BaseException) -> None:
+    def _take_run(self, item):
+        """The push ``item`` and every push for its stream queued right
+        behind it, plus the first other work item (``None`` when the
+        queue ran dry), which must run next so nothing is reordered.
+
+        A run needs no cap: each producer's credit window bounds the
+        ticks it can have queued.
+        """
+        stream = item[1][0]
+        run = [item]
         while True:
             try:
-                _, _, future = self._work.get_nowait()
+                item = self._work.get_nowait()
+            except queue.Empty:
+                return run, None
+            if item[0] != "push" or item[1][0] != stream:
+                return run, item
+            run.append(item)
+
+    def _drain_pending(self, err: BaseException, item=None) -> None:
+        """Fail ``item`` (taken but not run) and every queued future."""
+        while True:
+            if item is not None:
+                _settle(item[2], ServiceError(f"engine thread died: {err!r}"))
+            try:
+                item = self._work.get_nowait()
             except queue.Empty:
                 return
-            if future is not None and not future.cancelled():
-                future.set_exception(
-                    ServiceError(f"engine thread died: {err!r}")
-                )
 
     def _handle(self, kind: str, payload: tuple):
-        if kind == "push":
-            return self._handle_push(*payload)
         if kind == "ensure_stream":
             return self._handle_ensure_stream(*payload)
         if kind == "query":
@@ -398,72 +450,114 @@ class ServiceEngine:
 
     # -- pushes --------------------------------------------------------
 
-    def _handle_push(
-        self, stream: str, values: np.ndarray, first: Optional[int]
-    ) -> PushResult:
+    def _handle_pushes(
+        self, stream: str, pushes: Sequence[Tuple[np.ndarray, Optional[int]]]
+    ) -> list:
+        """Apply a run of queued ``(values, first)`` pushes for ``stream``.
+
+        Returns one outcome per push, in order: its
+        :class:`PushResult`, or the
+        :class:`~repro.service.protocol.ProtocolError` it is answered
+        with.  Each push is trimmed and
+        checked exactly as if it ran alone, against the watermark the
+        pushes before it leave; consecutive clean values reach the
+        monitor as one ``push_many`` call, which a push cut short by a
+        bad value ends after its clean prefix.  The run checkpoints
+        once, at its end.  A monitor or checkpoint failure fails every
+        push of the run; the watermark still counts what was applied,
+        so a producer replaying from it loses nothing.
+        """
         if stream not in self._ticks:
-            raise protocol.ProtocolError(
-                "not_registered", f"stream {stream!r} is not registered"
-            )
-        watermark = self._ticks[stream]
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        trimmed = 0
-        if first is not None:
-            first = int(first)
-            if first > watermark + 1:
-                raise protocol.ProtocolError(
-                    "gap",
-                    f"push starts at tick {first} but the watermark is "
-                    f"{watermark}; replay from {watermark + 1}",
+            return [
+                protocol.ProtocolError(
+                    "not_registered", f"stream {stream!r} is not registered"
                 )
-            if first <= watermark:
-                # Reconnect replay: drop the already-applied prefix.
-                trimmed = min(watermark + 1 - first, values.shape[0])
-                values = values[trimmed:]
-        if values.shape[0] == 0:
-            return PushResult(
-                applied=0, trimmed=trimmed, watermark=watermark
+                for _ in pushes
+            ]
+        watermark = self._ticks[stream]
+        outcomes: list = []
+        clean: List[np.ndarray] = []  # blocks for the next push_many call
+        applied = 0  # pushes that applied a tick
+        busy = 0.0
+        for values, first in pushes:
+            values = np.asarray(values, dtype=np.float64).reshape(-1)
+            trimmed = 0
+            if first is not None:
+                first = int(first)
+                if first > watermark + 1:
+                    outcomes.append(
+                        protocol.ProtocolError(
+                            "gap",
+                            f"push starts at tick {first} but the watermark "
+                            f"is {watermark}; replay from {watermark + 1}",
+                        )
+                    )
+                    continue
+                if first <= watermark:
+                    # Reconnect replay: drop the already-applied prefix.
+                    trimmed = min(watermark + 1 - first, values.shape[0])
+                    values = values[trimmed:]
+            stop, error = self._clean_prefix(stream, watermark, values)
+            if stop:
+                clean.append(values[:stop])
+                watermark += stop
+                applied += 1
+            outcomes.append(
+                PushResult(
+                    applied=stop,
+                    trimmed=trimmed,
+                    watermark=watermark,
+                    error=error,
+                )
             )
-        error: Optional[Tuple[str, str]] = None
+            if error is not None:
+                busy += self._apply(stream, clean)
+        busy += self._apply(stream, clean)
+        if applied:
+            self.metrics.apply_latency.observe(busy)
+            self.metrics.push_batches.labels(stream=stream).inc(applied)
+        self._maybe_checkpoint()
+        return outcomes
+
+    def _clean_prefix(
+        self, stream: str, watermark: int, values: np.ndarray
+    ) -> Tuple[int, Optional[Tuple[str, str]]]:
+        """How many leading ``values`` may be applied, and the
+        ``bad_value`` error for the tick that stops them (if any)."""
+        if values.shape[0] == 0:
+            return 0, None
         if self.sharded:
             finite = np.isfinite(values)
             stop = (
                 int(np.argmin(finite)) if not finite.all() else values.shape[0]
             )
-            if stop < values.shape[0]:
-                error = (
-                    "bad_value",
-                    f"tick {watermark + stop + 1}: sharded streams accept "
-                    f"finite values only, got {float(values[stop])!r}",
-                )
+            reason = "sharded streams accept finite values only, got {!r}"
         else:
             stop = self._monitor.first_fatal_index(stream, values)
-            if stop < values.shape[0]:
-                error = (
-                    "bad_value",
-                    f"tick {watermark + stop + 1}: value "
-                    f"{float(values[stop])!r} rejected by the missing-value "
-                    "policy",
-                )
-        applied = 0
-        if stop > 0:
-            clean = values[:stop]
-            started = perf_counter()
-            self._monitor.push_many(stream, clean)
-            self.metrics.apply_latency.observe(perf_counter() - started)
-            applied = int(clean.shape[0])
-            self._ticks[stream] = watermark + applied
-            self._ticks_since_checkpoint += applied
-            self.metrics.pushed_ticks.labels(stream=stream).inc(applied)
-            self.metrics.push_batches.labels(stream=stream).inc()
-        result = PushResult(
-            applied=applied,
-            trimmed=trimmed,
-            watermark=self._ticks[stream],
-            error=error,
+            reason = "value {!r} rejected by the missing-value policy"
+        if stop == values.shape[0]:
+            return stop, None
+        return stop, (
+            "bad_value",
+            f"tick {watermark + stop + 1}: "
+            + reason.format(float(values[stop])),
         )
-        self._maybe_checkpoint()
-        return result
+
+    def _apply(self, stream: str, clean: List[np.ndarray]) -> float:
+        """Push the queued ``clean`` blocks as one ``push_many`` call,
+        empty the list and return the seconds the call took."""
+        if not clean:
+            return 0.0
+        values = clean[0] if len(clean) == 1 else np.concatenate(clean)
+        clean.clear()
+        started = perf_counter()
+        self._monitor.push_many(stream, values)
+        busy = perf_counter() - started
+        applied = int(values.shape[0])
+        self._ticks[stream] += applied
+        self._ticks_since_checkpoint += applied
+        self.metrics.pushed_ticks.labels(stream=stream).inc(applied)
+        return busy
 
     def _maybe_checkpoint(self) -> None:
         every = int(self.config.checkpoint_every)

@@ -18,7 +18,10 @@ monitor.  A producer connection pipelines: the read loop validates
 frames and submits pushes to the engine, while a per-connection ack
 task awaits results in submission order and writes ``ack`` frames —
 so the wire stays full up to the credit window without ever reordering
-acks.  Match events cross back from the engine thread via
+acks.  Once the head push is done, every following ack whose push has
+already succeeded is encoded with it and the batch leaves in one write;
+each ack still carries the credit it would carry alone.  Match events
+cross back from the engine thread via
 ``call_soon_threadsafe`` and fan out to per-subscriber bounded queues;
 a subscriber whose queue overflows (too slow for the event rate, with
 the TCP buffer already full) is **evicted** rather than allowed to
@@ -255,7 +258,10 @@ class MonitorServer:
         )
 
     async def _send(self, writer: asyncio.StreamWriter, frame: dict) -> None:
-        writer.write(protocol.encode_frame(frame))
+        await self._write(writer, protocol.encode_frame(frame))
+
+    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
+        writer.write(data)
         try:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -300,11 +306,7 @@ class MonitorServer:
             body = http_response(
                 404, f"no such path: {path}\n".encode(), "text/plain; charset=utf-8"
             )
-        writer.write(body)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await self._write(writer, body)
 
     async def _render_metrics(self) -> bytes:
         """The ``/metrics`` response, rendered on the engine thread.
@@ -553,8 +555,14 @@ class MonitorServer:
         acks: "asyncio.Queue",
         fatal: asyncio.Event,
     ) -> None:
+        # ``entry`` is the next ack to write: taken from the queue, or
+        # the one that ended the previous batch.
+        entry = None
         while True:
-            seq, n, started, future = await acks.get()
+            if entry is None:
+                entry = await acks.get()
+            seq, n, started, future = entry
+            entry = None
             try:
                 result = await asyncio.wrap_future(future)
             except protocol.ProtocolError as err:
@@ -573,22 +581,49 @@ class MonitorServer:
                     writer, protocol.error_frame("state", str(err), seq=seq)
                 )
                 return
-            state["inflight"] -= n
-            self.metrics.record_inflight(stream, state["inflight"])
-            self.metrics.ack_latency.observe(perf_counter() - started)
-            ack = {
-                "type": "ack",
-                "seq": seq,
-                "applied": result.applied,
-                "trimmed": result.trimmed,
-                "watermark": result.watermark,
-                "credit": self.credit_window - state["inflight"],
-            }
-            if result.error is not None:
-                code, detail = result.error
-                self.metrics.record_error(code)
-                ack["error"] = {"code": code, "detail": detail}
-            await self._send(writer, ack)
+            batch = [self._encode_ack(stream, state, seq, n, started, result)]
+            # Every following ack whose push already succeeded leaves in
+            # the same write; the first pending or failed one heads the
+            # next batch.
+            while not acks.empty():
+                entry = acks.get_nowait()
+                seq, n, started, future = entry
+                if not future.done() or future.exception() is not None:
+                    break
+                result = future.result()
+                batch.append(
+                    self._encode_ack(stream, state, seq, n, started, result)
+                )
+                entry = None
+            await self._write(writer, b"".join(batch))
+
+    def _encode_ack(
+        self,
+        stream: str,
+        state: dict,
+        seq: int,
+        n: int,
+        started: float,
+        result,
+    ) -> bytes:
+        """Encode the ``ack`` frame for one applied push, releasing its
+        ticks from the in-flight count first."""
+        state["inflight"] -= n
+        self.metrics.record_inflight(stream, state["inflight"])
+        self.metrics.ack_latency.observe(perf_counter() - started)
+        ack = {
+            "type": "ack",
+            "seq": seq,
+            "applied": result.applied,
+            "trimmed": result.trimmed,
+            "watermark": result.watermark,
+            "credit": self.credit_window - state["inflight"],
+        }
+        if result.error is not None:
+            code, detail = result.error
+            self.metrics.record_error(code)
+            ack["error"] = {"code": code, "detail": detail}
+        return protocol.encode_frame(ack)
 
     # -- subscribers ---------------------------------------------------
 

@@ -136,15 +136,13 @@ class TestEngineParity:
         # excluded from the start-column comparison: the kernel writes
         # ``s[:, 0]`` fresh on every update without reading it, so a
         # stale value there is dead state, not divergence.  Padded tail
-        # columns of short queries in a ragged bank are excluded
-        # entirely: those cells are unobservable garbage by contract
-        # (the engine masks them as always-blocked for Equation 9), and
-        # replay vs. straight-line execution accumulate different
-        # garbage there.
-        valid = np.ones_like(pruned._d, dtype=bool)
+        # columns of short queries in a ragged bank hold exactly
+        # ``+inf`` / ``0`` in both engines.
         if pruned._pad_mask is not None:
-            valid[:, 1:] = ~pruned._pad_mask
-        finite = np.isfinite(pruned._d) & valid
+            for engine in (plain, pruned):
+                assert np.all(engine._d[:, 1:][engine._pad_mask] == np.inf)
+                assert np.all(engine._s[:, 1:][engine._pad_mask] == 0)
+        finite = np.isfinite(pruned._d)
         np.testing.assert_array_equal(
             pruned._d[finite], plain._d[finite]
         )
@@ -154,9 +152,7 @@ class TestEngineParity:
         eps = np.broadcast_to(
             pruned.bank.epsilons[:, None], plain._d.shape
         )
-        assert np.all(
-            finite | (plain._d > eps) | ~np.isfinite(plain._d) | ~valid
-        )
+        assert np.all(finite | (plain._d > eps) | ~np.isfinite(plain._d))
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -95,9 +95,18 @@ def _direct_frames(
 
 
 def _wire_frames(
-    batches: Dict[str, List[np.ndarray]], backend: str, admission: str
+    batches: Dict[str, List[np.ndarray]],
+    backend: str,
+    admission: str,
+    pipelined: bool,
 ) -> Dict[str, List[bytes]]:
-    """The same workload through sockets; raw event lines, unparsed."""
+    """The same workload through sockets; raw event lines, unparsed.
+
+    Closed-loop framing waits for each push's ack.  Pipelined framing
+    connects every producer first and sends every frame before reading
+    any ack, so pushes queue behind one another and the engine applies
+    them in runs.
+    """
     config = EngineConfig(
         streams=tuple(batches),
         backend=backend,
@@ -109,12 +118,24 @@ def _wire_frames(
         sub = ServiceConnection("127.0.0.1", handle.port)
         sub.send({"type": "hello", "role": "subscriber"})
         sub.recv_type("hello_ack")
-        expected = 0
+        producers = {}
         for stream, pieces in batches.items():
             producer = ProducerClient("127.0.0.1", handle.port, stream=stream)
+            producers[stream] = producer
+            if pipelined:
+                assert sum(p.size for p in pieces) <= producer.credit
+                for piece in pieces:
+                    producer.send_push(list(piece))
+                continue
             for piece in pieces:
                 ack = producer.push(list(piece))
                 assert "error" not in ack, ack
+        expected = 0
+        for stream, producer in producers.items():
+            if pipelined:
+                for _ in batches[stream]:
+                    ack = producer.recv_ack()
+                    assert "error" not in ack, ack
             producer.bye()
             producer.close()
             expected += handle.engine.sequence(stream)
@@ -132,9 +153,20 @@ def _wire_frames(
         handle.stop(checkpoint=False)
 
 
-@pytest.mark.parametrize("admission", ADMISSIONS)
+@pytest.mark.parametrize(
+    "admission, pipelined",
+    [
+        pytest.param(
+            admission, pipelined, id=admission + ("-pipelined" * pipelined)
+        )
+        for pipelined in (False, True)
+        for admission in ADMISSIONS
+    ],
+)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_wire_events_byte_identical_to_direct(rng, backend, admission):
+def test_wire_events_byte_identical_to_direct(
+    rng, backend, admission, pipelined
+):
     batches = _workload(rng)
     direct = _direct_frames(batches, backend, admission)
     # Sanity: the workload actually exercises every query.
@@ -144,11 +176,12 @@ def test_wire_events_byte_identical_to_direct(rng, backend, admission):
         for line in lines
     }
     assert seen_queries == {name for name, _, _, _ in QUERIES}
-    wire = _wire_frames(batches, backend, admission)
+    wire = _wire_frames(batches, backend, admission, pipelined)
     for stream in STREAMS:
         assert wire[stream] == direct[stream], (
             f"stream {stream!r}: wire events diverge from direct push_many "
-            f"(backend={backend}, admission={admission})"
+            f"(backend={backend}, admission={admission}, "
+            f"pipelined={pipelined})"
         )
 
 

@@ -36,6 +36,7 @@ from repro.service.client import (
     ServiceConnection,
     SubscriberClient,
 )
+from repro.service import protocol
 from repro.service.engine import EngineConfig
 
 SPIKE = [0.0, 5.0, 0.0]
@@ -119,6 +120,167 @@ def test_streams_auto_register_in_process(server):
     ack = producer.push(PULSE)
     assert ack["applied"] == len(PULSE)
     producer.close()
+
+
+# ----------------------------------------------------------------------
+# Runs: queued pushes of one stream applied together
+# ----------------------------------------------------------------------
+
+#: A dip embedded in calm samples; it also reads as a spike.
+DIP = [1.0, 5.0, 0.2, 5.0, 1.0, 1.0, 1.0]
+
+#: ``(connection, values, first)`` in queue order; ``control`` registers
+#: the dip query.  Ticks are those of stream s1 (s2 has its own).
+RUN_SCRIPT = [
+    ("p1", PULSE, None),  # 1-8, held inside push_many
+    ("p1", PULSE, None),  # 9-16
+    ("p1", PULSE[:4], None),  # 17-20
+    ("p1", PULSE, 17),  # replay: 17-20 trimmed, 21-24 applied
+    ("p1", [1.0, 0.1, 5.0, float("inf"), 0.1, 1.0], None),  # 25-27, 28 bad
+    ("p1", [0.1, 1.0, 1.0, 1.0], None),  # 28-31, after the bad frame
+    ("p1", [1.0, 1.0], 40),  # gap: the watermark is 31
+    ("p1", PULSE, None),  # 32-39
+    ("p2", PULSE, None),  # another stream: a barrier
+    ("p1", DIP, None),  # 40-46, before the dip query exists
+    ("control", None, None),  # register_query: a barrier
+    ("p1", DIP + [1.0], None),  # 47-54
+    ("p1", PULSE, None),  # 55-62
+]
+
+#: The ``push_many(stream, len(values))`` calls the script's runs make:
+#: the held push; four pushes cut after the bad value's clean prefix;
+#: the rest of that run; s2; the push before the registration; the
+#: last two pushes.
+RUN_CALLS = [
+    ("s1", 8), ("s1", 19), ("s1", 12), ("s2", 8), ("s1", 7), ("s1", 16),
+]
+
+
+def _script_connections(port: int):
+    sub = ServiceConnection("127.0.0.1", port)
+    sub.send({"type": "hello", "role": "subscriber"})
+    sub.recv_type("hello_ack")
+    conns = {
+        "p1": ProducerClient("127.0.0.1", port, stream="s1"),
+        "p2": ProducerClient("127.0.0.1", port, stream="s2"),
+        "control": ControlClient("127.0.0.1", port),
+    }
+    return sub, conns
+
+
+def _script_send(conns: dict, step: tuple) -> None:
+    name, values, first = step
+    if name == "control":
+        conns[name].send(
+            {
+                "type": "register_query",
+                "name": "dip",
+                "query": [5.0, 0.0, 5.0],
+                "epsilon": 2.0,
+            }
+        )
+    else:
+        conns[name].send_push(values, first=first)
+
+
+def _script_events(handle, sub: ServiceConnection) -> list:
+    expected = sum(handle.engine.sequence(s) for s in ("s1", "s2"))
+    lines = [sub.file.readline() for _ in range(expected)]
+    assert all(lines), "server closed before delivering every event"
+    return lines
+
+
+def _script_close(sub, conns) -> None:
+    for conn in [sub, *conns.values()]:
+        conn.close()
+
+
+def _comparable(frame: dict) -> dict:
+    """An error or ok reply minus the watermarks read when it is
+    written, which with pipelined pushes can count later pushes."""
+    if frame["type"] == "ack":
+        return frame
+    read_late = ("watermark", "watermarks")
+    return {k: v for k, v in frame.items() if k not in read_late}
+
+
+def test_queued_pushes_apply_as_runs_exactly_like_one_at_a_time(
+    service_server, monkeypatch
+):
+    """Pushes queued behind a busy engine are applied as runs, yet
+    every ack and event equals a closed-loop, one-at-a-time run."""
+    window = protocol.DEFAULT_CREDIT_WINDOW
+    # Closed loop on a fresh server: each frame waits for its reply.
+    reference = service_server()
+    sub, conns = _script_connections(reference.port)
+    closed = []
+    for step in RUN_SCRIPT:
+        _script_send(conns, step)
+        closed.append(conns[step[0]].recv())
+    closed_events = _script_events(reference, sub)
+    _script_close(sub, conns)
+    assert [f["type"] for f in closed].count("ack") == len(RUN_SCRIPT) - 2
+    assert any("error" in f for f in closed)
+    assert any(b'"query":"dip"' in line for line in closed_events)
+    # Every p1 frame is in flight when the first ack is written, so
+    # each ack carries the window minus the p1 ticks still unacked.
+    remaining = sum(len(v) for name, v, _ in RUN_SCRIPT if name == "p1")
+    for (name, values, _), frame in zip(RUN_SCRIPT, closed):
+        if name == "p1":
+            remaining -= len(values)
+        if frame["type"] == "ack":
+            frame["credit"] = window - (remaining if name == "p1" else 0)
+
+    handle = service_server()
+    sub, conns = _script_connections(handle.port)
+    calls = []
+    entered, release = threading.Event(), threading.Event()
+    loop_held, loop_release = threading.Event(), threading.Event()
+    monitor = handle.engine._monitor
+    push_many = monitor.push_many
+
+    def held_push_many(stream, values):
+        calls.append((stream, len(values)))
+        if len(calls) == 1:
+            entered.set()
+            release.wait(timeout=60)
+        return push_many(stream, values)
+
+    def hold_loop() -> None:
+        loop_held.set()
+        loop_release.wait(timeout=60)
+
+    def wait_for_depth(depth: int) -> None:
+        deadline = time.monotonic() + 30
+        while handle.metrics.queue_depth.value != depth:
+            assert time.monotonic() < deadline, "frames never queued"
+            time.sleep(0.001)
+
+    monkeypatch.setattr(monitor, "push_many", held_push_many)
+    try:
+        _script_send(conns, RUN_SCRIPT[0])
+        assert entered.wait(timeout=30)
+        for depth, step in enumerate(RUN_SCRIPT[1:], start=1):
+            _script_send(conns, step)
+            wait_for_depth(depth)
+        # Hold the event loop while the engine drains the queue, so the
+        # ack writer finds every push settled and batches its acks.
+        handle.loop.call_soon_threadsafe(hold_loop)
+        assert loop_held.wait(timeout=30)
+        release.set()
+        handle.engine.submit_stats().result(timeout=60)
+    finally:
+        release.set()
+        loop_release.set()
+    pipelined = [conns[step[0]].recv() for step in RUN_SCRIPT]
+    events = _script_events(handle, sub)
+    _script_close(sub, conns)
+
+    assert [_comparable(f) for f in pipelined] == [
+        _comparable(f) for f in closed
+    ]
+    assert events == closed_events
+    assert calls == RUN_CALLS
 
 
 # ----------------------------------------------------------------------
