@@ -3,9 +3,11 @@
 :class:`ServiceMetrics` binds every ``service_*`` instrument family the
 network layer publishes onto one :class:`~repro.obs.metrics.MetricsRegistry`
 — the same registry the fronted monitor records its ``spring_*`` series
-into, so one ``GET /metrics`` scrape covers the whole process.  Binding
-happens once at server construction; hot paths hold direct family
-references and pay only a child lookup per update.
+into, so one ``GET /metrics`` scrape covers the whole process.  Families
+are bound once at server construction, and so are the children the
+per-frame paths update: one per frame type and served path at
+construction, a producer's two in-flight gauges at its hello.  A frame
+then costs a dict lookup and an ``inc``, not a label lookup.
 
 Families (all prefixed ``service_``):
 
@@ -14,6 +16,7 @@ family                            type       meaning
 ================================  =========  ==================================
 connections_total{role}           counter    accepted connections by hello role
 frames_total{type}                counter    valid frames received, by type
+                                             (client types, else ``other``)
 protocol_errors_total{code}       counter    structured error replies sent
 pushed_ticks_total{stream}        counter    stream values accepted (acked)
 push_batches_total{stream}        counter    push frames applied
@@ -27,7 +30,9 @@ inflight_peak_ticks{stream}       gauge      high-water mark of the above
 apply_latency_seconds             histogram  engine apply per run of one
                                              stream's queued pushes
 ack_latency_seconds               histogram  enqueue-to-ack, per push batch
-http_requests_total{path}         counter    HTTP requests served (/metrics)
+http_requests_total{path}         counter    HTTP requests served, by path
+                                             (/metrics, /healthz, else
+                                             ``other``)
 checkpoints_total                 counter    service checkpoints written
 ================================  =========  ==================================
 
@@ -35,15 +40,28 @@ The in-flight gauges are the backpressure observable: with a credit
 window of ``W`` ticks per stream, ``inflight_peak_ticks`` can never
 exceed ``W`` — the backpressure conformance tests assert exactly that
 through this registry.
+
+The ``type`` and ``path`` labels come from clients, so each is bounded
+to the names the server serves plus ``other``: a client sending junk
+types or paths adds no series.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ServiceMetrics"]
+
+#: The client frame types ``service_frames_total`` counts by name.
+FRAME_TYPES = (
+    "hello", "push", "register_query", "remove_query", "swap_query",
+    "stats", "ping", "bye",
+)
+
+#: The paths ``service_http_requests_total`` counts by name.
+HTTP_PATHS = ("/metrics", "/healthz")
 
 
 class ServiceMetrics:
@@ -123,18 +141,37 @@ class ServiceMetrics:
             "service_checkpoints_total",
             "Service-level checkpoints written",
         )
+        self._frame_counts = {
+            name: self.frames.labels(type=name)
+            for name in FRAME_TYPES + ("other",)
+        }
+        self._http_counts = {
+            path: self.http_requests.labels(path=path)
+            for path in HTTP_PATHS + ("other",)
+        }
 
     # -- convenience updaters used by the hot paths --------------------
 
-    def record_inflight(self, stream: str, value: int) -> None:
-        """Set the in-flight gauge; ratchet the per-stream high-water mark."""
-        self.inflight.labels(stream=stream).set(float(value))
+    def inflight_recorder(self, stream: str) -> Callable[[int], None]:
+        """``record(ticks)`` for one stream: set its in-flight gauge and
+        ratchet its high-water mark, with both children bound here."""
+        gauge = self.inflight.labels(stream=stream)
         peak = self.inflight_peak.labels(stream=stream)
-        if value > peak.value:
-            peak.set(float(value))
+
+        def record(ticks: int) -> None:
+            gauge.set(ticks)
+            if ticks > peak.value:
+                peak.set(ticks)
+
+        return record
 
     def record_error(self, code: str) -> None:
         self.protocol_errors.labels(code=code).inc()
 
     def record_frame(self, frame_type: str) -> None:
-        self.frames.labels(type=frame_type).inc()
+        counts = self._frame_counts
+        counts.get(frame_type, counts["other"]).inc()
+
+    def record_http(self, path: str) -> None:
+        counts = self._http_counts
+        counts.get(path, counts["other"]).inc()

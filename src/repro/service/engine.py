@@ -14,11 +14,15 @@ every push for the same stream queued right behind it, stopping at the
 first other work item, which runs next.  Each push of a run is
 trimmed, gap-checked and cut at its first fatal value exactly as if it
 ran alone, against the watermark the pushes before it leave, and gets
-its own :class:`PushResult`; their clean values reach the monitor as
-one ``push_many`` call (a push cut short by a bad value ends that call
-after its clean prefix), the run checkpoints once, and the futures
-resolve in order.  ``push_many`` output does not depend on how a stream
-is split into batches, so runs change cost, not results.
+its own :class:`PushResult` (or an error that carries that watermark);
+their clean values reach the monitor as one ``push_many`` call (a push
+cut short by a bad value ends that call after its clean prefix), the
+run checkpoints once, and the futures resolve in order.  The run's
+values are checked for fatal ones in one pass; only a run that holds
+one checks push by push.  ``push_many`` output does not depend on how a
+stream is split into batches, so runs change cost, not results.  The
+work queue is a :class:`queue.SimpleQueue`, which takes no lock
+condition per hand-off.
 
 Two execution modes behind one interface:
 
@@ -137,8 +141,8 @@ class ServiceEngine:
         self.metrics = metrics or ServiceMetrics()
         self.on_event = on_event
         self.sharded = int(config.shards) > 0
-        self._work: "queue.Queue[Tuple[str, tuple, Optional[Future]]]" = (
-            queue.Queue()
+        self._work: "queue.SimpleQueue[Tuple[str, tuple, Optional[Future]]]" = (
+            queue.SimpleQueue()
         )
         self._thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
@@ -458,11 +462,16 @@ class ServiceEngine:
         Returns one outcome per push, in order: its
         :class:`PushResult`, or the
         :class:`~repro.service.protocol.ProtocolError` it is answered
-        with.  Each push is trimmed and
+        with, which carries the watermark it was checked against.  Each
+        push is trimmed and
         checked exactly as if it ran alone, against the watermark the
         pushes before it leave; consecutive clean values reach the
         monitor as one ``push_many`` call, which a push cut short by a
-        bad value ends after its clean prefix.  The run checkpoints
+        bad value ends after its clean prefix.  The run's values are
+        checked for fatal ones once, all together: when there are none,
+        no push needs its own check, since trimming only takes
+        sub-slices and a query op, which could change the policy, ends
+        the run.  The run checkpoints
         once, at its end.  A monitor or checkpoint failure fails every
         push of the run; the watermark still counts what was applied,
         so a producer replaying from it loses nothing.
@@ -470,17 +479,25 @@ class ServiceEngine:
         if stream not in self._ticks:
             return [
                 protocol.ProtocolError(
-                    "not_registered", f"stream {stream!r} is not registered"
+                    "not_registered",
+                    f"stream {stream!r} is not registered",
+                    watermark=0,
                 )
                 for _ in pushes
             ]
+        pushes = [
+            (np.asarray(values, dtype=np.float64).reshape(-1), first)
+            for values, first in pushes
+        ]
         watermark = self._ticks[stream]
+        blocks = [values for values, _ in pushes]
+        whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        run_clean = self._clean_prefix(stream, watermark, whole)[1] is None
         outcomes: list = []
         clean: List[np.ndarray] = []  # blocks for the next push_many call
         applied = 0  # pushes that applied a tick
         busy = 0.0
         for values, first in pushes:
-            values = np.asarray(values, dtype=np.float64).reshape(-1)
             trimmed = 0
             if first is not None:
                 first = int(first)
@@ -490,6 +507,7 @@ class ServiceEngine:
                             "gap",
                             f"push starts at tick {first} but the watermark "
                             f"is {watermark}; replay from {watermark + 1}",
+                            watermark=watermark,
                         )
                     )
                     continue
@@ -497,7 +515,10 @@ class ServiceEngine:
                     # Reconnect replay: drop the already-applied prefix.
                     trimmed = min(watermark + 1 - first, values.shape[0])
                     values = values[trimmed:]
-            stop, error = self._clean_prefix(stream, watermark, values)
+            if run_clean:
+                stop, error = values.shape[0], None
+            else:
+                stop, error = self._clean_prefix(stream, watermark, values)
             if stop:
                 clean.append(values[:stop])
                 watermark += stop
@@ -634,7 +655,12 @@ class ServiceEngine:
                 raise ServiceError(f"unknown query op {op!r}")
         except (ValidationError, TypeError) as err:
             raise protocol.ProtocolError("bad_query", str(err)) from None
-        return {"name": name, "op": op, "queries": list(self._monitor.queries)}
+        return {
+            "name": name,
+            "op": op,
+            "queries": list(self._monitor.queries),
+            "watermarks": self.watermarks(),
+        }
 
     def _handle_stats(self) -> dict:
         monitor = self._monitor

@@ -65,6 +65,7 @@ __all__ = [
     "ROLES",
     "ProtocolError",
     "encode_frame",
+    "encode_ack",
     "decode_frame",
     "decode_values",
     "encode_event",
@@ -96,18 +97,23 @@ class ProtocolError(Exception):
 
     ``code`` is one of the documented error codes; ``fatal`` marks
     violations after which the byte stream cannot be trusted (the
-    server closes the connection after replying).
+    server closes the connection after replying).  ``fields`` are
+    extra reply fields fixed where the error was found, such as the
+    ``watermark`` a push was checked against.
     """
 
-    def __init__(self, code: str, detail: str, fatal: bool = False) -> None:
+    def __init__(
+        self, code: str, detail: str, fatal: bool = False, **fields: object
+    ) -> None:
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
         self.fatal = fatal
+        self.fields = fields
 
     def frame(self, **extra: object) -> dict:
         """The ``error`` reply frame for this violation."""
-        return error_frame(self.code, self.detail, **extra)
+        return error_frame(self.code, self.detail, **self.fields, **extra)
 
 
 def encode_frame(obj: Dict[str, object]) -> bytes:
@@ -118,6 +124,24 @@ def encode_frame(obj: Dict[str, object]) -> bytes:
         ).encode("utf-8")
         + b"\n"
     )
+
+
+#: :func:`encode_frame` of a successful ``ack``: its keys in sorted order.
+_ACK = (
+    b'{"applied":%d,"credit":%d,"seq":%d,"trimmed":%d,"type":"ack",'
+    b'"watermark":%d}\n'
+)
+
+
+def encode_ack(
+    seq: int, applied: int, trimmed: int, watermark: int, credit: int
+) -> bytes:
+    """Canonical bytes of an ``ack`` that carries no ``error``.
+
+    Equal to :func:`encode_frame` of the same frame, written from its
+    fixed key order instead of a sorted dump.
+    """
+    return _ACK % (applied, credit, seq, trimmed, watermark)
 
 
 def decode_frame(line: bytes) -> Dict[str, object]:
@@ -153,6 +177,11 @@ def decode_frame(line: bytes) -> Dict[str, object]:
     return obj
 
 
+#: Item types an all-number ``values`` array converts in one call
+#: (``bool`` is not among them: ``type(True)`` is ``bool``).
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def decode_values(raw: object, max_batch: int) -> np.ndarray:
     """Decode a push frame's ``values`` into a float64 array.
 
@@ -174,6 +203,11 @@ def decode_values(raw: object, max_batch: int) -> np.ndarray:
             "oversized_batch",
             f"batch of {len(raw)} values exceeds max_batch={max_batch}",
         )
+    if _NUMBER_TYPES.issuperset(map(type, raw)):
+        try:
+            return np.array(raw, dtype=np.float64)
+        except OverflowError:
+            pass  # an int past float range: the loop below names it
     out = np.empty(len(raw), dtype=np.float64)
     for i, item in enumerate(raw):
         if isinstance(item, bool) or not isinstance(

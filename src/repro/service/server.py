@@ -20,7 +20,10 @@ task awaits results in submission order and writes ``ack`` frames —
 so the wire stays full up to the credit window without ever reordering
 acks.  Once the head push is done, every following ack whose push has
 already succeeded is encoded with it and the batch leaves in one write;
-each ack still carries the credit it would carry alone.  Match events
+each ack still carries the credit it would carry alone.  An error reply
+carries the watermark the engine checked its push against, not one
+read when it is written.  ``bye`` is answered only once every push
+before it has been answered.  Match events
 cross back from the engine thread via
 ``call_soon_threadsafe`` and fan out to per-subscriber bounded queues;
 a subscriber whose queue overflows (too slow for the event rate, with
@@ -35,6 +38,15 @@ credit, and a producer that overruns the window is disconnected with a
 ``credit_exceeded`` error.  With an honoured window ``W``, the
 ``service_inflight_peak_ticks`` gauge can never exceed ``W`` — the
 conformance tests assert that bound through the metrics registry.
+
+Per-frame cost
+--------------
+The loop shares its CPU with the engine thread, so a push frame does
+little beyond ``json.loads``: its metric children are bound once (see
+:mod:`repro.obs.service`), an all-number ``values`` array is converted
+in one call, and an ack without an error is written from a fixed key
+order (:func:`~repro.service.protocol.encode_ack`), still the
+canonical bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, Optional, Sequence, Set
 
 from repro.core.monitor import MatchEvent
 from repro.exceptions import ServiceError
@@ -89,6 +101,30 @@ class _Subscriber:
         except asyncio.QueueFull:
             return False
         return True
+
+
+class _Producer:
+    """One producer connection: its stream, unacked ticks and ack queue."""
+
+    def __init__(
+        self,
+        writer: asyncio.StreamWriter,
+        stream: str,
+        record_inflight: Callable[[int], None],
+    ) -> None:
+        self.writer = writer
+        self.stream = stream
+        self.inflight = 0
+        self._record_inflight = record_inflight
+        #: ``(seq, ticks, received, future)`` per submitted push, in
+        #: ``seq`` order; the ack task marks each done once answered.
+        self.acks: "asyncio.Queue" = asyncio.Queue()
+        self.fatal = asyncio.Event()
+
+    def track(self, ticks: int) -> None:
+        """Add ``ticks`` (negative on release) to the in-flight count."""
+        self.inflight += ticks
+        self._record_inflight(self.inflight)
 
 
 class MonitorServer:
@@ -288,7 +324,7 @@ class MonitorServer:
         method = parts[0].decode("ascii", "replace") if parts else "?"
         path = parts[1].decode("ascii", "replace") if len(parts) > 1 else "/"
         path = path.split("?", 1)[0]
-        self.metrics.http_requests.labels(path=path).inc()
+        self.metrics.record_http(path)
         if method != "GET":
             body = http_response(
                 405, b"only GET is supported\n", "text/plain; charset=utf-8"
@@ -394,7 +430,7 @@ class MonitorServer:
                 self.metrics.record_error(err.code)
                 await self._send(writer, err.frame())
                 continue
-            self.metrics.record_frame(str(frame.get("type")))
+            self.metrics.record_frame(frame["type"])
             return frame
 
     # -- producers -----------------------------------------------------
@@ -430,28 +466,24 @@ class MonitorServer:
                 "max_batch": self.max_batch,
             },
         )
-        state = {"inflight": 0}
-        acks: "asyncio.Queue" = asyncio.Queue()
-        fatal = asyncio.Event()
-        ack_task = asyncio.ensure_future(
-            self._ack_writer(writer, stream, state, acks, fatal)
+        producer = _Producer(
+            writer, stream, self.metrics.inflight_recorder(stream)
         )
+        ack_task = asyncio.ensure_future(self._ack_writer(producer))
         try:
-            while not fatal.is_set():
+            while not producer.fatal.is_set():
                 frame = await self._read_frame(reader, writer)
                 if frame is None or frame is False:
                     break
                 ftype = frame["type"]
                 if ftype == "push":
-                    ok = await self._handle_push_frame(
-                        writer, stream, frame, state, acks
-                    )
+                    ok = await self._handle_push_frame(producer, frame)
                     if not ok:
                         break
                 elif ftype == "ping":
                     await self._send(writer, {"type": "pong"})
                 elif ftype == "bye":
-                    await self._flush_acks(acks)
+                    await self._flush_acks(producer.acks, ack_task)
                     await self._send(
                         writer,
                         {
@@ -474,22 +506,25 @@ class MonitorServer:
             if not ack_task.done():
                 # Let queued acks finish before tearing down so a
                 # half-closed client still receives its watermarks.
-                await self._flush_acks(acks)
+                await self._flush_acks(producer.acks, ack_task)
                 ack_task.cancel()
             await asyncio.gather(ack_task, return_exceptions=True)
 
-    async def _flush_acks(self, acks: "asyncio.Queue") -> None:
-        while not acks.empty():
-            await asyncio.sleep(0.001)
+    async def _flush_acks(
+        self, acks: "asyncio.Queue", ack_task: asyncio.Future
+    ) -> None:
+        """Wait until every queued push is answered, or the ack task
+        ends (it stops at an engine crash)."""
+        joined = asyncio.ensure_future(acks.join())
+        try:
+            await asyncio.wait(
+                (joined, ack_task), return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            joined.cancel()
 
-    async def _handle_push_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        stream: str,
-        frame: dict,
-        state: dict,
-        acks: "asyncio.Queue",
-    ) -> bool:
+    async def _handle_push_frame(self, producer: _Producer, frame: dict) -> bool:
+        writer = producer.writer
         seq = frame.get("seq")
         if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
             self.metrics.record_error("bad_frame")
@@ -522,39 +557,32 @@ class MonitorServer:
             await self._send(writer, err.frame(seq=seq))
             return True
         n = int(values.shape[0])
-        if state["inflight"] + n > self.credit_window:
+        if producer.inflight + n > self.credit_window:
             self.metrics.record_error("credit_exceeded")
             await self._send(
                 writer,
                 protocol.error_frame(
                     "credit_exceeded",
-                    f"{state['inflight']} ticks in flight + {n} pushed "
+                    f"{producer.inflight} ticks in flight + {n} pushed "
                     f"exceeds the credit window of {self.credit_window}",
                     seq=seq,
                 ),
             )
             return False
-        state["inflight"] += n
-        self.metrics.record_inflight(stream, state["inflight"])
+        producer.track(n)
         try:
-            future = self.engine.submit_push(stream, values, first)
+            future = self.engine.submit_push(producer.stream, values, first)
         except ServiceError as err:
-            state["inflight"] -= n
+            producer.track(-n)
             await self._send(
                 writer, protocol.error_frame("state", str(err), seq=seq)
             )
             return False
-        acks.put_nowait((seq, n, perf_counter(), future))
+        producer.acks.put_nowait((seq, n, perf_counter(), future))
         return True
 
-    async def _ack_writer(
-        self,
-        writer: asyncio.StreamWriter,
-        stream: str,
-        state: dict,
-        acks: "asyncio.Queue",
-        fatal: asyncio.Event,
-    ) -> None:
+    async def _ack_writer(self, producer: _Producer) -> None:
+        writer, acks = producer.writer, producer.acks
         # ``entry`` is the next ack to write: taken from the queue, or
         # the one that ended the previous batch.
         entry = None
@@ -566,22 +594,22 @@ class MonitorServer:
             try:
                 result = await asyncio.wrap_future(future)
             except protocol.ProtocolError as err:
-                state["inflight"] -= n
-                self.metrics.record_inflight(stream, state["inflight"])
+                # The engine put the watermark it checked against in
+                # ``err``; one read now could count later pushes.
+                producer.track(-n)
                 self.metrics.record_error(err.code)
-                await self._send(
-                    writer,
-                    err.frame(seq=seq, watermark=self.engine.watermark(stream)),
-                )
+                await self._send(writer, err.frame(seq=seq))
+                acks.task_done()
                 continue
             except (ServiceError, Exception) as err:  # engine crash
-                state["inflight"] -= n
-                fatal.set()
+                producer.track(-n)
+                producer.fatal.set()
                 await self._send(
                     writer, protocol.error_frame("state", str(err), seq=seq)
                 )
+                acks.task_done()
                 return
-            batch = [self._encode_ack(stream, state, seq, n, started, result)]
+            batch = [self._encode_ack(producer, seq, n, started, result)]
             # Every following ack whose push already succeeded leaves in
             # the same write; the first pending or failed one heads the
             # next batch.
@@ -590,40 +618,41 @@ class MonitorServer:
                 seq, n, started, future = entry
                 if not future.done() or future.exception() is not None:
                     break
-                result = future.result()
                 batch.append(
-                    self._encode_ack(stream, state, seq, n, started, result)
+                    self._encode_ack(
+                        producer, seq, n, started, future.result()
+                    )
                 )
                 entry = None
             await self._write(writer, b"".join(batch))
+            for _ in batch:
+                acks.task_done()
 
     def _encode_ack(
-        self,
-        stream: str,
-        state: dict,
-        seq: int,
-        n: int,
-        started: float,
-        result,
+        self, producer: _Producer, seq: int, n: int, started: float, result
     ) -> bytes:
         """Encode the ``ack`` frame for one applied push, releasing its
         ticks from the in-flight count first."""
-        state["inflight"] -= n
-        self.metrics.record_inflight(stream, state["inflight"])
+        producer.track(-n)
         self.metrics.ack_latency.observe(perf_counter() - started)
-        ack = {
-            "type": "ack",
-            "seq": seq,
-            "applied": result.applied,
-            "trimmed": result.trimmed,
-            "watermark": result.watermark,
-            "credit": self.credit_window - state["inflight"],
-        }
-        if result.error is not None:
-            code, detail = result.error
-            self.metrics.record_error(code)
-            ack["error"] = {"code": code, "detail": detail}
-        return protocol.encode_frame(ack)
+        credit = self.credit_window - producer.inflight
+        if result.error is None:
+            return protocol.encode_ack(
+                seq, result.applied, result.trimmed, result.watermark, credit
+            )
+        code, detail = result.error
+        self.metrics.record_error(code)
+        return protocol.encode_frame(
+            {
+                "type": "ack",
+                "seq": seq,
+                "applied": result.applied,
+                "trimmed": result.trimmed,
+                "watermark": result.watermark,
+                "credit": credit,
+                "error": {"code": code, "detail": detail},
+            }
+        )
 
     # -- subscribers ---------------------------------------------------
 
@@ -801,7 +830,7 @@ class MonitorServer:
                     "op": result["op"],
                     "name": result["name"],
                     "queries": result["queries"],
-                    "watermarks": self.engine.watermarks(),
+                    "watermarks": result["watermarks"],
                 },
             )
 

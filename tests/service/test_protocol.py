@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro._serde import decode_float
 from repro.core.matches import Match
 from repro.core.monitor import MatchEvent
 from repro.service import protocol
@@ -117,6 +118,96 @@ def test_decode_values_rejects_garbage(raw, code):
     with pytest.raises(protocol.ProtocolError) as err:
         protocol.decode_values(raw, max_batch=10)
     assert err.value.code == code
+
+
+ack_ints = st.integers(min_value=0, max_value=2**66)
+
+
+@given(ack_ints, ack_ints, ack_ints, ack_ints, ack_ints)
+@settings(max_examples=500, deadline=None)
+def test_encode_ack_is_the_canonical_encoding(
+    seq, applied, trimmed, watermark, credit
+):
+    frame = {
+        "type": "ack",
+        "seq": seq,
+        "applied": applied,
+        "trimmed": trimmed,
+        "watermark": watermark,
+        "credit": credit,
+    }
+    assert protocol.encode_ack(
+        seq, applied, trimmed, watermark, credit
+    ) == protocol.encode_frame(frame)
+
+
+def _decode_values_by_item(raw, max_batch):
+    """``decode_values`` as one loop over the items: the reference its
+    one-call path must match."""
+    if not isinstance(raw, list):
+        raise protocol.ProtocolError(
+            "bad_frame", "'values' must be a JSON array of numbers"
+        )
+    if len(raw) == 0:
+        raise protocol.ProtocolError("bad_frame", "'values' must not be empty")
+    if len(raw) > max_batch:
+        raise protocol.ProtocolError(
+            "oversized_batch",
+            f"batch of {len(raw)} values exceeds max_batch={max_batch}",
+        )
+    out = np.empty(len(raw), dtype=np.float64)
+    for i, item in enumerate(raw):
+        if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+            raise protocol.ProtocolError(
+                "bad_frame", f"values[{i}] is not a number: {item!r}"
+            )
+        try:
+            out[i] = decode_float(item) if isinstance(item, str) else float(item)
+        except Exception:
+            raise protocol.ProtocolError(
+                "bad_frame", f"values[{i}] is not a number: {item!r}"
+            ) from None
+    return out
+
+
+def _decoded(decode, raw, max_batch):
+    try:
+        values = decode(raw, max_batch)
+    except protocol.ProtocolError as err:
+        return ("error", err.code, err.detail)
+    return ("ok", values.dtype.str, values.shape, values.tobytes())
+
+
+number_items = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.sampled_from([2**53 + 1, -(2**53) - 1, 2**63, 2**64 + 1, 10**400]),
+)
+value_items = st.one_of(
+    number_items,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.text(max_size=6),
+    st.lists(number_items, max_size=2),
+    st.dictionaries(st.text(max_size=3), number_items, max_size=2),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(number_items, max_size=12),
+        st.lists(value_items, max_size=12),
+        value_items,
+    ),
+    st.sampled_from([4, 10, 4096]),
+)
+@settings(max_examples=1000, deadline=None)
+def test_decode_values_matches_the_per_item_reference(raw, max_batch):
+    """Same array bytes, or the same error code and detail."""
+    assert _decoded(protocol.decode_values, raw, max_batch) == _decoded(
+        _decode_values_by_item, raw, max_batch
+    )
 
 
 @pytest.mark.parametrize(

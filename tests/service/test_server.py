@@ -195,15 +195,6 @@ def _script_close(sub, conns) -> None:
         conn.close()
 
 
-def _comparable(frame: dict) -> dict:
-    """An error or ok reply minus the watermarks read when it is
-    written, which with pipelined pushes can count later pushes."""
-    if frame["type"] == "ack":
-        return frame
-    read_late = ("watermark", "watermarks")
-    return {k: v for k, v in frame.items() if k not in read_late}
-
-
 def test_queued_pushes_apply_as_runs_exactly_like_one_at_a_time(
     service_server, monkeypatch
 ):
@@ -276,11 +267,126 @@ def test_queued_pushes_apply_as_runs_exactly_like_one_at_a_time(
     events = _script_events(handle, sub)
     _script_close(sub, conns)
 
-    assert [_comparable(f) for f in pipelined] == [
-        _comparable(f) for f in closed
-    ]
+    assert pipelined == closed
     assert events == closed_events
     assert calls == RUN_CALLS
+
+
+class _HeldEngine:
+    """Hold the engine inside its next ``push_many`` call, and then the
+    event loop while the engine drains its queue, so every reply is
+    written only after all the queued work has run."""
+
+    def __init__(self, handle, monkeypatch) -> None:
+        self.handle = handle
+        self.entered, self.release = threading.Event(), threading.Event()
+        monitor = handle.engine._monitor
+        push_many = monitor.push_many
+
+        def held_push_many(stream, values):
+            if not self.entered.is_set():
+                self.entered.set()
+                self.release.wait(timeout=60)
+            return push_many(stream, values)
+
+        monkeypatch.setattr(monitor, "push_many", held_push_many)
+
+    def wait_for_depth(self, depth: int) -> None:
+        deadline = time.monotonic() + 30
+        while self.handle.metrics.queue_depth.value != depth:
+            assert time.monotonic() < deadline, "frames never queued"
+            time.sleep(0.001)
+
+    def drain_behind_held_loop(self) -> None:
+        loop_held, loop_release = threading.Event(), threading.Event()
+
+        def hold_loop() -> None:
+            loop_held.set()
+            loop_release.wait(timeout=60)
+
+        try:
+            self.handle.loop.call_soon_threadsafe(hold_loop)
+            assert loop_held.wait(timeout=30)
+            self.release.set()
+            self.handle.engine.submit_stats().result(timeout=60)
+        finally:
+            self.release.set()
+            loop_release.set()
+
+
+def test_error_and_ok_replies_carry_the_watermarks_the_engine_checked(
+    server, monkeypatch
+):
+    """A ``gap`` reply reports the watermark its push was checked
+    against, and an ``ok`` reply the watermarks when its op ran, even
+    when later pushes are applied before the reply is written."""
+    producer = ProducerClient("127.0.0.1", server.port, stream="s1")
+    control = ControlClient("127.0.0.1", server.port)
+    start = producer.push([1.0, 1.0, 1.0])["watermark"]
+    held = _HeldEngine(server, monkeypatch)
+    try:
+        producer.send_push([1.0, 1.0])  # start+1..start+2, held
+        assert held.entered.wait(timeout=30)
+        producer.send_push([1.0], first=start + 9)  # gap
+        held.wait_for_depth(1)
+        producer.send_push([1.0, 1.0, 1.0])  # start+3..start+5
+        held.wait_for_depth(2)
+        control.send(
+            {
+                "type": "register_query",
+                "name": "dip",
+                "query": [5.0, 0.0, 5.0],
+                "epsilon": 2.0,
+            }
+        )
+        held.wait_for_depth(3)
+        producer.send_push([1.0] * 4)  # start+6..start+9
+        held.wait_for_depth(4)
+        held.drain_behind_held_loop()
+    finally:
+        held.release.set()
+    replies = [producer.recv() for _ in range(4)]
+    assert [f["type"] for f in replies] == ["ack", "error", "ack", "ack"]
+    assert replies[1]["code"] == "gap"
+    assert replies[1]["watermark"] == start + 2
+    assert [replies[i]["watermark"] for i in (0, 2, 3)] == [
+        start + 2, start + 5, start + 9,
+    ]
+    ok = control.recv()
+    assert ok["type"] == "ok" and ok["op"] == "register"
+    assert ok["watermarks"] == {"s1": start + 5}
+    producer.close()
+    control.close()
+
+
+def test_bye_answers_a_held_push_before_goodbye(server, monkeypatch):
+    """``bye`` waits for the ack of a push the engine is still
+    applying: the producer gets that ack, then ``goodbye``."""
+    producer = ProducerClient("127.0.0.1", server.port, stream="s1")
+    held = _HeldEngine(server, monkeypatch)
+    byes = server.metrics.frames.labels(type="bye")
+    try:
+        producer.send_push([1.0, 2.0, 3.0])
+        assert held.entered.wait(timeout=30)
+        producer.send({"type": "bye"})
+        deadline = time.monotonic() + 30
+        while byes.value < 1:
+            assert time.monotonic() < deadline, "bye never read"
+            time.sleep(0.001)
+        # Ample time for a goodbye written without waiting to leave.
+        time.sleep(0.3)
+    finally:
+        held.release.set()
+    replies = []
+    while True:
+        frame = producer.recv()
+        if frame is None:
+            break
+        replies.append(frame)
+    assert [f["type"] for f in replies] == ["ack", "goodbye"]
+    assert replies[0]["seq"] == 1 and replies[0]["watermark"] == 3
+    assert replies[1]["watermark"] == 3
+    producer.close()
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +629,32 @@ def test_metrics_endpoint_serves_parseable_exposition(server):
     assert delivered[0][2] >= 1.0
     producer.close()
     sub.close()
+
+
+def test_client_chosen_labels_stay_bounded(server):
+    """Junk frame types and request paths fold into ``other`` rather
+    than adding one series each."""
+    control = ControlClient("127.0.0.1", server.port)
+    for i in range(200):
+        control.send({"type": f"junk{i}"})
+    for _ in range(200):
+        assert control.recv()["code"] == "unknown_type"
+    control.close()
+    for i in range(50):
+        assert _http_get(server.port, f"/junk{i}")[0] == 404
+    assert _http_get(server.port, "/healthz")[0] == 200
+    snapshot = server.metrics.registry.snapshot()
+    frames = {
+        s["labels"]["type"]: s["value"]
+        for s in snapshot["service_frames_total"]["series"]
+    }
+    paths = {
+        s["labels"]["path"]: s["value"]
+        for s in snapshot["service_http_requests_total"]["series"]
+    }
+    assert len(frames) <= 9 and len(paths) <= 3
+    assert frames["other"] == 200.0 and frames["hello"] == 1.0
+    assert paths["other"] == 50.0 and paths["/healthz"] == 1.0
 
 
 def test_http_404_405_and_healthz(server):
