@@ -22,8 +22,8 @@ Commands
     runtime: transient read errors retry with backoff, and progress is
     snapshotted atomically so ``--resume`` continues a killed run with
     byte-identical match output.  ``--backend`` picks the kernel
-    backend and ``--admission`` the admission strategy (both ``auto``
-    by default; matches are bit-identical across every combination).
+    backend (``auto`` by default; matches are bit-identical across
+    backends).
     With ``--shards N`` the run goes through the sharded
     multi-process runtime (supervised workers, automatic crash
     recovery).  Either way SIGTERM/SIGINT stop the run cooperatively:
@@ -166,16 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="kernel backend for the column recurrence "
                           "(default: auto = best available; matches "
                           "are bit-identical across backends)")
-    mon.add_argument("--admission", default=None,
-                     choices=("auto", "flat", "grouped"),
-                     help="admission strategy for the pruning cascade "
-                          "(default: auto = grouped envelope index for "
-                          "large query banks, flat cascade otherwise; "
-                          "matches are byte-identical either way)")
-    mon.add_argument("--admission-group-size", type=int, default=None,
-                     metavar="G",
-                     help="queries per merged-envelope group under "
-                          "grouped admission (default 64)")
     mon.add_argument("--shards", type=int, default=None, metavar="N",
                      help="run through the sharded multi-process runtime "
                           "with N supervised worker processes (crash "
@@ -211,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--backend", default=None,
                      choices=("auto", "numpy", "cext"),
                      help="kernel backend (default auto)")
-    srv.add_argument("--admission", default=None,
-                     choices=("auto", "flat", "grouped"),
-                     help="admission strategy (default auto)")
-    srv.add_argument("--admission-group-size", type=int, default=None,
-                     metavar="G",
-                     help="queries per merged-envelope group")
     srv.add_argument("--no-prune", action="store_true",
                      help="disable the admission cascade")
     srv.add_argument("--prune-buffer", type=int, default=1024,
@@ -378,17 +362,13 @@ def _run_monitor_supervised(
             [source], manager, checkpoint_every=args.checkpoint_every,
             prune=not args.no_prune, prune_buffer=args.prune_buffer,
             backend=args.backend,
-            admission=args.admission,
-            admission_group_size=args.admission_group_size,
         )
         print(f"resumed from snapshot at tick {runner.resumed_from}")
     else:
         monitor = StreamMonitor(keep_history=False,
                                 prune=not args.no_prune,
                                 prune_buffer=args.prune_buffer,
-                                backend=args.backend,
-                                admission=args.admission,
-                                admission_group_size=args.admission_group_size)
+                                backend=args.backend)
         for name, query in queries.items():
             monitor.add_query(name, query, epsilon=args.epsilon,
                               matcher=args.matcher, **_matcher_kwargs(args))
@@ -487,8 +467,6 @@ def _run_monitor_sharded(
         prune=not args.no_prune,
         prune_buffer=args.prune_buffer,
         backend=args.backend,
-        admission=args.admission,
-        admission_group_size=args.admission_group_size,
     )
     monitor.add_stream("stream")
     for name, query in queries.items():
@@ -612,8 +590,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         streams=streams,
         shards=int(args.shards),
         backend=args.backend,
-        admission=args.admission,
-        admission_group_size=args.admission_group_size,
         prune=not args.no_prune,
         prune_buffer=args.prune_buffer,
         checkpoint_dir=args.checkpoint_dir,
@@ -718,9 +694,7 @@ def _run_monitor_metrics(
     monitor = StreamMonitor(keep_history=False,
                             prune=not args.no_prune,
                             prune_buffer=args.prune_buffer,
-                            backend=args.backend,
-                            admission=args.admission,
-                            admission_group_size=args.admission_group_size)
+                            backend=args.backend)
     write_metrics = None
     every = max(1, args.metrics_every)
     if args.metrics_out is not None:

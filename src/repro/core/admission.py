@@ -1,4 +1,4 @@
-"""Tiered admission: pluggable strategies for the lower-bound cascade.
+"""Tiered admission: the two strategies of the lower-bound cascade.
 
 Layer between the fused engine and the corridor bound.  An *admission
 strategy* owns everything the pruning cascade needs per engine — the
@@ -12,11 +12,9 @@ rows and steps those.  On a bank kernel that
 kernel makes the same decisions inside its compiled extend loop instead
 — for a block of values, or a single tick as a block of one — reading
 and advancing this module's state in place (the ``native_*`` interface
-below); the Python cascade stays the reference for the other backends
-and custom strategies.
+below); the Python cascade here is the numpy reference.
 
-Two strategies ship, behind the same open registry idiom as the policy
-and backend registries (:func:`register_admission`):
+Two strategies exist:
 
 * ``"flat"`` — the PR-5 cascade: every query pays its own O(1) corridor
   check each tick, O(Q) admission per tick.
@@ -28,10 +26,13 @@ and backend registries (:func:`register_admission`):
   descend to exact per-member checks.  With everything parked and every
   group certified, a tick costs O(Q / group_size) instead of O(Q).
 
-``"auto"`` (the default everywhere) resolves to ``"grouped"`` for banks
-of at least :data:`AUTO_GROUP_MIN_QUERIES` queries and ``"flat"``
+The bank's size picks between them: ``"auto"`` (the default, and the
+only choice above :class:`~repro.core.fused.FusedSpring`) resolves to
+``"grouped"`` for banks of at least :data:`AUTO_GROUP_MIN_QUERIES`
+queries, in groups of :data:`DEFAULT_GROUP_SIZE`, and to ``"flat"``
 otherwise — below that scale the flat cascade's single vectorised pass
-is already cheaper than managing an index.
+is already cheaper than managing an index.  ``FusedSpring`` still takes
+an explicit strategy and group size, for benchmarks and parity suites.
 
 **Exactness.**  Both strategies produce the *same decisions*: the group
 bound is a bit-level lower bound on every member bound (see
@@ -47,11 +48,12 @@ restores under any other.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.dtw.envelope_index import GroupEnvelopeIndex
+from repro.dtw.lower_bounds import lb_corridor
 from repro.exceptions import ValidationError
 from repro.obs import tracing
 from repro.streams.buffer import RingBuffer
@@ -60,8 +62,6 @@ __all__ = [
     "AdmissionCascade",
     "FlatAdmission",
     "GroupedAdmission",
-    "register_admission",
-    "admission_kinds",
     "resolve_admission",
     "create_admission",
     "AUTO_GROUP_MIN_QUERIES",
@@ -89,28 +89,8 @@ class AdmissionCascade:
     only through the documented wake/replay paths.
     """
 
-    #: Registry name of the strategy (overridden by subclasses).
+    #: Strategy name, ``"flat"`` or ``"grouped"`` (set by subclasses).
     kind = "?"
-
-    #: Built-in decision a compiled extend loop reproduces bit-for-bit
-    #: (``"flat"`` or ``"grouped"``); ``None`` keeps the strategy on the
-    #: per-tick :meth:`admit` path.
-    native: Optional[str] = None
-
-    #: Methods whose behaviour the compiled loop reimplements.
-    _NATIVE_HOOKS = (
-        "_admit", "_flat_pass", "tick_missing", "wake_rows", "_replay",
-        "native_index",
-    )
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # A subclass that redefines part of the decision has no compiled
-        # twin unless it declares one itself.
-        if "native" not in vars(cls) and any(
-            hook in vars(cls) for hook in cls._NATIVE_HOOKS
-        ):
-            cls.native = None
 
     def __init__(self, engine, capacity: int, group_size: int) -> None:
         self.engine = engine
@@ -175,7 +155,7 @@ class AdmissionCascade:
         parked)."""
         engine = self.engine
         eps = self._eps
-        lb = self._backend.lb_corridor(x, self._lo, self._hi, self._distance_kind)
+        lb = lb_corridor(x, self._lo, self._hi, self._distance_kind)
         cold = lb > eps
         if self.n_parked:
             wake = self.parked & ~cold
@@ -411,7 +391,6 @@ class FlatAdmission(AdmissionCascade):
     """The PR-5 cascade: one O(1) corridor check per query per tick."""
 
     kind = "flat"
-    native = "flat"
 
     def _admit(self, x: float) -> Tuple[Optional[np.ndarray], int]:
         self.buffer.push(x)
@@ -431,7 +410,6 @@ class GroupedAdmission(AdmissionCascade):
     """
 
     kind = "grouped"
-    native = "grouped"
 
     def __init__(self, engine, capacity: int, group_size: int) -> None:
         super().__init__(engine, capacity, group_size)
@@ -467,14 +445,11 @@ class GroupedAdmission(AdmissionCascade):
             return self._flat_pass(x, total)
         engine = self.engine
         eps = self._eps
-        backend = self._backend
         kind = self._distance_kind
 
         # Tier 1: one merged-envelope test per group of parked queries.
         index = self._parked_index()
-        certified = backend.group_corridor(
-            x, index.lo, index.hi, index.eps, kind
-        )
+        certified = lb_corridor(x, index.lo, index.hi, kind) > index.eps
         if certified.all():
             # The steady cold state: every group certified in one shot.
             # This branch is the sublinear fast path, so it skips the
@@ -489,9 +464,7 @@ class GroupedAdmission(AdmissionCascade):
             # Tier 2: exact per-member bounds for uncertified groups.
             self.group_descents += index.n_groups - n_certified
             members = index.descend_rows(certified)
-            lb = backend.lb_corridor(
-                x, self._lo[members], self._hi[members], kind
-            )
+            lb = lb_corridor(x, self._lo[members], self._hi[members], kind)
             wake = members[~(lb > eps[members])]
             if wake.size:
                 self.wake_rows(np.sort(wake), total)
@@ -502,9 +475,7 @@ class GroupedAdmission(AdmissionCascade):
         # Hot side: only non-parked rows pay the parking check.
         hot = ~self.parked
         hot_rows = np.flatnonzero(hot)
-        lb_hot = backend.lb_corridor(
-            x, self._lo[hot_rows], self._hi[hot_rows], kind
-        )
+        lb_hot = lb_corridor(x, self._lo[hot_rows], self._hi[hot_rows], kind)
         newly = (
             (lb_hot > eps[hot_rows])
             & ~np.isfinite(engine._dmin[hot_rows])
@@ -524,33 +495,7 @@ class GroupedAdmission(AdmissionCascade):
         return hot, n_hot
 
 
-# ----------------------------------------------------------------------
-# Registry (mirrors the policy / transform / backend registries)
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Callable[..., AdmissionCascade]] = {}
-
-
-def register_admission(name: str, factory: Callable[..., AdmissionCascade]) -> None:
-    """Register an admission strategy under ``name``.
-
-    ``factory(engine, capacity, group_size)`` must return an
-    :class:`AdmissionCascade`.  Re-registering the same factory under
-    the same name is a no-op; a conflicting re-registration raises.
-    """
-    key = str(name).lower()
-    existing = _REGISTRY.get(key)
-    if existing is not None and existing is not factory:
-        raise ValidationError(
-            f"admission strategy {key!r} is already registered"
-        )
-    _REGISTRY[key] = factory
-
-
-def admission_kinds() -> Tuple[str, ...]:
-    """Registered strategy names, sorted (``"auto"`` is a selector, not
-    a strategy, and is not listed)."""
-    return tuple(sorted(_REGISTRY))
+_STRATEGIES = {"flat": FlatAdmission, "grouped": GroupedAdmission}
 
 
 def resolve_admission(spec: Optional[str]) -> str:
@@ -558,8 +503,8 @@ def resolve_admission(spec: Optional[str]) -> str:
     if spec is None:
         return "auto"
     name = str(spec).lower()
-    if name != "auto" and name not in _REGISTRY:
-        choices = ", ".join(("auto",) + admission_kinds())
+    if name != "auto" and name not in _STRATEGIES:
+        choices = ", ".join(("auto",) + tuple(_STRATEGIES))
         raise ValidationError(
             f"unknown admission strategy {spec!r}: choose one of {choices}"
         )
@@ -588,8 +533,4 @@ def create_admission(
         )
     if name == "auto":
         name = "grouped" if engine.q >= AUTO_GROUP_MIN_QUERIES else "flat"
-    return _REGISTRY[name](engine, capacity, group_size)
-
-
-register_admission("flat", FlatAdmission)
-register_admission("grouped", GroupedAdmission)
+    return _STRATEGIES[name](engine, capacity, group_size)

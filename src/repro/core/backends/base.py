@@ -1,4 +1,4 @@
-"""Kernel backend contract: pluggable engines for the four hot kernels.
+"""Kernel backend contract: pluggable engines for SPRING's hot kernels.
 
 A :class:`KernelBackend` supplies drop-in replacements for the numeric
 inner loops that dominate the per-tick cost of SPRING:
@@ -7,8 +7,6 @@ inner loops that dominate the per-tick cost of SPRING:
   recurrence (Q queries per call);
 * :func:`repro.core.state.update_column` — the scalar ``SpringState``
   step used by per-query matchers and ``Spring.extend`` blocks;
-* :func:`repro.dtw.lower_bounds.lb_corridor` — the O(Q) admission bound
-  of the pruning cascade;
 * a *bank kernel* (:class:`BankKernel`) — the fused per-tick path of
   :class:`~repro.core.fused.FusedSpring` (local cost + column
   recurrence + Figure-4 report logic).  Every backend mints one for
@@ -84,11 +82,13 @@ class BankKernel:
     one ``backend.update_columns`` call over the stepped rows (padded
     cells then reset to ``+inf`` / ``0``), then the engine's vectorised
     Figure-4 report (traced as ``kernel.update_columns`` and
-    ``policy.report``).  A compiled kernel (cext) overrides the three
-    stepping methods with native calls that advance the engine's master
-    arrays *in place* and return confirmations in exactly the order
-    this reference reports them (ascending query index per tick, ticks
-    in stream order).
+    ``policy.report``).  A compiled kernel (cext) overrides :meth:`step`
+    and :meth:`extend` and implements :meth:`extend_pruned` with native
+    calls that advance the engine's master arrays *in place* and return
+    confirmations in exactly the order this reference reports them
+    (ascending query index per tick, ticks in stream order).  It never
+    needs :meth:`step_rows`: the reference cascade alone steps a hot
+    subset.
     """
 
     __slots__ = ("_engine", "_update_columns")
@@ -98,8 +98,8 @@ class BankKernel:
     compiled = False
 
     #: Whether :meth:`extend_pruned` runs the admission cascade inside
-    #: the compiled loop.  Engines on kernels without it keep the
-    #: per-tick Python cascade for pruned ticks and blocks.
+    #: the compiled loop.  Engines on kernels without it (numpy) run
+    #: the per-tick reference cascade for pruned ticks and blocks.
     runs_admission = False
 
     def __init__(self, engine, backend: "KernelBackend") -> None:
@@ -166,8 +166,8 @@ class BankKernel:
         """:meth:`extend` with the admission cascade inside the loop.
 
         Per tick, the kernel makes the decision of ``cascade`` (a
-        :class:`~repro.core.admission.AdmissionCascade` whose ``native``
-        names a built-in strategy): push the value to the replay ring,
+        :class:`~repro.core.admission.AdmissionCascade`, flat or grouped
+        as its ``kind`` says): push the value to the replay ring,
         wake parked rows by replay (tripwire kept) or deep wake, park
         newly cold rows, then step and report the hot rows.  Ring
         slots, the parked mask and park positions are written in place;
@@ -212,33 +212,6 @@ class KernelBackend:
         :func:`repro.core.state.update_columns` (fresh output arrays,
         inputs untouched)."""
         raise NotImplementedError
-
-    def lb_corridor(
-        self, x: float, lo: np.ndarray, hi: np.ndarray, kind: str
-    ) -> np.ndarray:
-        """Corridor admission bound; same contract as
-        :func:`repro.dtw.lower_bounds.lb_corridor` for array inputs."""
-        raise NotImplementedError
-
-    def group_corridor(
-        self,
-        x: float,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        eps: np.ndarray,
-        kind: str,
-    ) -> np.ndarray:
-        """Fused group certification for tiered admission.
-
-        Returns the boolean array ``lb_corridor(x, lo, hi, kind) > eps``
-        — one entry per merged-envelope group (see
-        :mod:`repro.dtw.envelope_index`): ``True`` certifies every
-        member of that group cold for this tick.  Bit-exactness is
-        inherited from :meth:`lb_corridor` plus an exact float64
-        comparison, which is also what this default delegation
-        computes; compiled backends override it with a fused kernel.
-        """
-        return self.lb_corridor(x, lo, hi, kind) > eps
 
     def bank_kernel(self, engine) -> BankKernel:
         """Mint the fused-step kernel bound to ``engine``.

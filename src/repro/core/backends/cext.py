@@ -1,4 +1,4 @@
-"""Compiled C backend: the four hot kernels as native code via ctypes.
+"""Compiled C backend: SPRING's hot kernels as native code via ctypes.
 
 The compiled tier.  It needs only what almost every host already has —
 a C compiler — and the standard library: the kernel source below is
@@ -91,7 +91,6 @@ import numpy as np
 from repro.core.backends.base import BankKernel, KernelBackend
 from repro.core.matches import Match
 from repro.core.state import SpringState, update_columns
-from repro.dtw.lower_bounds import lb_corridor as _np_lb_corridor
 from repro.exceptions import ValidationError
 from repro.obs import tracing
 
@@ -102,7 +101,7 @@ _KIND_CODES = {"squared": 0, "absolute": 1}
 
 # Parameter-block slots (int64 each): constants and array base addresses
 # an engine-bound kernel needs.  One block per kernel, built once at
-# bind time, so a step call marshals four scalars instead of twenty
+# bind time, so a step call marshals two scalars instead of twenty
 # arrays.  Must mirror the PP_* defines in the C source.
 _PP_KIND = 0  # 0 squared, 1 absolute
 _PP_Q = 1
@@ -577,8 +576,8 @@ static int64_t row_report(const int64_t *pp, int64_t qi, int64_t n_emit) {
 }
 
 /* Column update plus report for all queries (rows == 0) or a hot
- * subset (ascending row indices), appending emissions after `n_emit`.
- * Returns the updated emission count. */
+ * subset (ascending row indices, from the pruned loop), appending
+ * emissions after `n_emit`.  Returns the updated emission count. */
 static int64_t step_report(const int64_t *pp, double x, int64_t nrows,
                            const int64_t *rows, int64_t n_emit) {
     int64_t n = rows ? nrows : pp[PP_Q];
@@ -589,13 +588,10 @@ static int64_t step_report(const int64_t *pp, double x, int64_t nrows,
     return n_emit;
 }
 
-/* One stream tick for all queries (rows_addr == 0) or a hot subset
- * (ascending row indices).  Increments the tick counters itself.
- * Returns the number of buffered emissions. */
-int64_t spring_step_bank(int64_t pp_addr, double x, int64_t nrows,
-                         int64_t rows_addr) {
-    const int64_t *rows = rows_addr ? IPTR(rows_addr) : 0;
-    return step_report(IPTR(pp_addr), x, nrows, rows, 0);
+/* One stream tick for all queries.  Increments the tick counters
+ * itself.  Returns the number of buffered emissions. */
+int64_t spring_step_bank(int64_t pp_addr, double x) {
+    return step_report(IPTR(pp_addr), x, 0, 0, 0);
 }
 
 /* A block of stream ticks for all queries.  skip[t] != 0 advances time
@@ -853,31 +849,6 @@ void spring_update_column(int64_t m, int64_t d_in, int64_t s_in,
                IPTR(s_out));
 }
 
-/* Corridor admission bound: repro.dtw.lower_bounds.lb_corridor for a
- * scalar x against per-query corridors. */
-void spring_lb_corridor(double x, int64_t lo_addr, int64_t hi_addr,
-                        int64_t q, int64_t kind, int64_t out_addr) {
-    const double *lo = DPTR(lo_addr);
-    const double *hi = DPTR(hi_addr);
-    double *out = DPTR(out_addr);
-    for (int64_t i = 0; i < q; i++) out[i] = corridor_lb(kind, x, lo[i], hi[i]);
-}
-
-/* Tiered-admission group certification: the corridor bound against the
- * merged group envelopes fused with the epsilon comparison.  out[i] is
- * 1 iff lb_corridor(x, lo[i], hi[i]) > eps[i], i.e. group i is
- * certified cold for this tick (see dtw/envelope_index.py). */
-void spring_group_corridor(double x, int64_t lo_addr, int64_t hi_addr,
-                           int64_t eps_addr, int64_t g, int64_t kind,
-                           int64_t out_addr) {
-    const double *lo = DPTR(lo_addr);
-    const double *hi = DPTR(hi_addr);
-    const double *eps = DPTR(eps_addr);
-    unsigned char *out = (unsigned char *)(intptr_t)(out_addr);
-    for (int64_t i = 0; i < g; i++) {
-        out[i] = corridor_lb(kind, x, lo[i], hi[i]) > eps[i] ? 1 : 0;
-    }
-}
 """
 
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -930,7 +901,7 @@ def _build_library(compiler: str) -> Tuple[ctypes.CDLL, str]:
     lib = ctypes.CDLL(so_path)
     i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.spring_step_bank.restype = i64
-    lib.spring_step_bank.argtypes = [i64, f64, i64, i64]
+    lib.spring_step_bank.argtypes = [i64, f64]
     lib.spring_extend_bank.restype = i64
     lib.spring_extend_bank.argtypes = [i64, i64, i64, i64, i64]
     lib.spring_extend_pruned.restype = i64
@@ -941,10 +912,6 @@ def _build_library(compiler: str) -> Tuple[ctypes.CDLL, str]:
     lib.spring_update_columns.argtypes = [i64] * 8
     lib.spring_update_column.restype = None
     lib.spring_update_column.argtypes = [i64] * 7
-    lib.spring_lb_corridor.restype = None
-    lib.spring_lb_corridor.argtypes = [f64, i64, i64, i64, i64, i64]
-    lib.spring_group_corridor.restype = None
-    lib.spring_group_corridor.argtypes = [f64, i64, i64, i64, i64, i64, i64]
     return lib, f"{detail} ({so_path})"
 
 
@@ -995,18 +962,6 @@ def _self_test(backend: "CExtBackend") -> None:
     got_d[np.isnan(got_d)] = np.nan
     if want_d.tobytes() != got_d.tobytes() or want_s.tobytes() != got_s.tobytes():
         raise RuntimeError("compiled column update diverges from numpy")
-    lo = np.array([-1.0, 0.5, 2.0])
-    hi = np.array([1.0, 0.75, 2.0])
-    eps = np.array([6.0, 7.5625, 2.25])  # straddles the > boundary
-    for kind in ("squared", "absolute"):
-        want = _np_lb_corridor(3.5, lo, hi, kind)
-        got = backend.lb_corridor(3.5, lo, hi, kind)
-        if np.asarray(want).tobytes() != got.tobytes():
-            raise RuntimeError("compiled corridor bound diverges from numpy")
-        want_g = np.asarray(want) > eps
-        got_g = backend.group_corridor(3.5, lo, hi, eps, kind)
-        if want_g.tobytes() != got_g.tobytes():
-            raise RuntimeError("compiled group corridor diverges from numpy")
 
 
 def _address(arr: np.ndarray, dtype, size: Optional[int] = None) -> int:
@@ -1141,16 +1096,10 @@ class _CExtBankKernel(BankKernel):
         ]
 
     def step(self, x: float):
-        return tracing.call("kernel.step_bank", self._step, x, 0, 0)
+        return tracing.call("kernel.step_bank", self._step, x)
 
-    def step_rows(self, x: float, hot: np.ndarray):
-        rows = np.ascontiguousarray(np.flatnonzero(hot), dtype=np.int64)
-        return tracing.call(
-            "kernel.step_bank", self._step, x, rows.shape[0], rows.ctypes.data
-        )
-
-    def _step(self, x: float, n_rows: int, rows_addr: int):
-        n = self._lib.spring_step_bank(self._pp_addr, x, n_rows, rows_addr)
+    def _step(self, x: float):
+        n = self._lib.spring_step_bank(self._pp_addr, x)
         return self.collect(n) if n else []
 
     def extend(self, xs: np.ndarray, skip: np.ndarray):
@@ -1191,7 +1140,7 @@ class _CExtBankKernel(BankKernel):
         if cascade is not self._cascade:
             # The parked mask and park positions are mutated in place
             # for the cascade's lifetime.
-            ap[_AP_GROUPED] = cascade.native == "grouped"
+            ap[_AP_GROUPED] = cascade.kind == "grouped"
             ap[_AP_PARKED] = _address(cascade.parked, np.bool_, self._q)
             ap[_AP_PARK_POS] = _address(cascade.park_pos, np.int64, self._q)
             self._cascade = cascade
@@ -1291,43 +1240,6 @@ class CExtBackend(KernelBackend):
             s_new.ctypes.data,
         )
         return d_new, s_new
-
-    def lb_corridor(self, x, lo, hi, kind):
-        code = _KIND_CODES.get(kind)
-        if code is None:
-            # Same error text/type as the numpy implementation.
-            return _np_lb_corridor(x, lo, hi, kind)
-        lo = np.ascontiguousarray(lo, dtype=np.float64)
-        hi = np.ascontiguousarray(hi, dtype=np.float64)
-        out = np.empty(lo.shape[0], dtype=np.float64)
-        self._lib.spring_lb_corridor(
-            float(x),
-            lo.ctypes.data,
-            hi.ctypes.data,
-            lo.shape[0],
-            code,
-            out.ctypes.data,
-        )
-        return out
-
-    def group_corridor(self, x, lo, hi, eps, kind):
-        code = _KIND_CODES.get(kind)
-        if code is None:
-            return _np_lb_corridor(x, lo, hi, kind) > np.asarray(eps)
-        lo = np.ascontiguousarray(lo, dtype=np.float64)
-        hi = np.ascontiguousarray(hi, dtype=np.float64)
-        eps = np.ascontiguousarray(eps, dtype=np.float64)
-        out = np.empty(lo.shape[0], dtype=np.uint8)
-        self._lib.spring_group_corridor(
-            float(x),
-            lo.ctypes.data,
-            hi.ctypes.data,
-            eps.ctypes.data,
-            lo.shape[0],
-            code,
-            out.ctypes.data,
-        )
-        return out.view(np.bool_)
 
     def bank_kernel(self, engine) -> BankKernel:
         if engine._prune_kind not in _KIND_CODES:

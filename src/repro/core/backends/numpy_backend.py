@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.backends.base import KernelBackend
 from repro.core.state import update_column, update_columns
-from repro.dtw.lower_bounds import lb_corridor
 
 __all__ = ["NumpyBackend"]
 
@@ -37,18 +36,3 @@ class NumpyBackend(KernelBackend):
         ticks: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         return update_columns(d, s, cost, ticks)
-
-    def lb_corridor(
-        self, x: float, lo: np.ndarray, hi: np.ndarray, kind: str
-    ) -> np.ndarray:
-        return lb_corridor(x, lo, hi, kind)
-
-    def group_corridor(
-        self,
-        x: float,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        eps: np.ndarray,
-        kind: str,
-    ) -> np.ndarray:
-        return lb_corridor(x, lo, hi, kind) > eps

@@ -221,8 +221,6 @@ def load_monitor(
     prune: bool = True,
     prune_buffer: int = 1024,
     backend=None,
-    admission=None,
-    admission_group_size=None,
 ):
     """Rebuild a monitor from :func:`save_monitor` output.
 
@@ -232,11 +230,10 @@ def load_monitor(
     with pruning disabled the parked spans are caught up immediately,
     so the resumed match stream is byte-identical regardless.
 
-    ``backend`` selects the kernel backend of the restored monitor, and
-    ``admission`` / ``admission_group_size`` its admission strategy —
-    both are runtime properties: checkpoints never record them, and a
-    snapshot written under any combination restores under any other to
-    byte-identical future events.
+    ``backend`` selects the kernel backend of the restored monitor — a
+    runtime property, like the admission strategy its banks' sizes
+    pick: checkpoints record neither, and a snapshot written under one
+    restores under any other to byte-identical future events.
     """
     from repro.core.monitor import StreamMonitor
 
@@ -248,8 +245,6 @@ def load_monitor(
         prune=prune,
         prune_buffer=prune_buffer,
         backend=backend,
-        admission=admission,
-        admission_group_size=admission_group_size,
     )
     for name, spec in state["queries"].items():  # type: ignore[union-attr]
         epsilon = decode_float(spec["epsilon"])
@@ -293,8 +288,6 @@ def load_monitor_json(
     prune: bool = True,
     prune_buffer: int = 1024,
     backend=None,
-    admission=None,
-    admission_group_size=None,
 ):
     """Restore a monitor from :func:`dump_monitor_json` output."""
     return load_monitor(
@@ -302,6 +295,4 @@ def load_monitor_json(
         prune=prune,
         prune_buffer=prune_buffer,
         backend=backend,
-        admission=admission,
-        admission_group_size=admission_group_size,
     )

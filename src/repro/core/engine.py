@@ -117,8 +117,6 @@ def build_plan(
     matchers: Mapping[str, object],
     prune_buffer: Optional[int] = None,
     backend: BackendSpec = None,
-    admission: Optional[str] = None,
-    admission_group_size: Optional[int] = None,
 ) -> ExecutionPlan:
     """Partition a stream's matchers into fused banks + individual runs.
 
@@ -135,14 +133,13 @@ def build_plan(
 
     ``prune_buffer`` enables the exact lower-bound admission cascade on
     every bank it applies to (see :class:`~repro.core.fused.FusedSpring`);
-    emissions are byte-identical with or without it.  ``backend``
-    selects the kernel backend for every bank built here (results are
-    bit-identical across backends), and ``admission`` /
-    ``admission_group_size`` select the admission strategy the same
-    capability-driven way — ``"auto"`` (the default) picks grouped
-    admission for large banks and the flat cascade otherwise, with
-    byte-identical decisions either way (see
-    :mod:`repro.core.admission`).
+    emissions are byte-identical with or without it.  Each bank's size
+    picks its admission strategy: grouped admission from
+    :data:`~repro.core.admission.AUTO_GROUP_MIN_QUERIES` queries, the
+    flat cascade below, with byte-identical decisions either way (see
+    :mod:`repro.core.admission`).  ``backend`` selects the kernel
+    backend for every bank built here (results are bit-identical
+    across backends).
     """
     groups: Dict[Tuple, List[str]] = {}
     for name, matcher in matchers.items():
@@ -157,8 +154,6 @@ def build_plan(
             group,
             prune_buffer=prune_buffer,
             backend=backend,
-            admission=admission,
-            admission_group_size=admission_group_size,
         )
         if len(group) == 1 and not engine.compiled_step:
             continue

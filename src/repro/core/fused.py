@@ -234,11 +234,12 @@ class FusedSpring:
         serialised.
     admission:
         Admission strategy for the pruning cascade —
-        ``"flat"``/``"grouped"``/``"auto"`` (or ``None`` for auto; see
-        :mod:`repro.core.admission`).  Like the backend, a runtime
-        property: decisions and emissions are byte-identical across
-        strategies and the choice is never serialised.  Ignored when
-        pruning is off or inert.
+        ``"flat"``/``"grouped"``/``"auto"`` (or ``None`` for auto, which
+        picks by bank size; see :mod:`repro.core.admission`).  Like the
+        backend, a runtime property: decisions and emissions are
+        byte-identical across strategies and the choice is never
+        serialised.  Ignored when pruning is off or inert.  Monitors
+        and everything above them always use auto.
     admission_group_size:
         Queries per merged-envelope group for grouped admission
         (default :data:`repro.core.admission.DEFAULT_GROUP_SIZE`).
@@ -325,14 +326,10 @@ class FusedSpring:
         # above, which it then only ever mutates in place.
         self._kernel = self._backend.bank_kernel(self)
         # Whether pruned ticks and blocks run as one compiled call, the
-        # cascade included (a built-in strategy on a kernel that
-        # implements it); otherwise step() and extend() run the Python
-        # cascade per tick.  `_one_x`/`_one_skip` stage step()'s value.
-        self._native_prune = (
-            self._prune
-            and self._kernel.runs_admission
-            and self._admission.native is not None
-        )
+        # cascade included (cext); otherwise step() and extend() run the
+        # numpy reference cascade per tick.  `_one_x`/`_one_skip` stage
+        # step()'s value.
+        self._native_prune = self._prune and self._kernel.runs_admission
         self._one_x = np.zeros(1, dtype=np.float64)
         self._one_skip = np.zeros(1, dtype=np.uint8)
 
@@ -456,7 +453,8 @@ class FusedSpring:
 
         A pruned engine whose kernel runs admission itself (cext) feeds
         the value through the compiled admission loop as a block of one
-        (one foreign call); other pruned engines step the Python cascade.
+        (one foreign call); on numpy a pruned engine steps the reference
+        cascade.
         """
         x = self._validate_value(value)
         if self._native_prune:
@@ -515,7 +513,7 @@ class FusedSpring:
         to the bank kernel in one call — a compiled kernel runs the
         block natively, with pruning on too, admission included, when
         it runs admission itself (``BankKernel.runs_admission``: cext).
-        Other pruned engines step the Python cascade per tick.
+        On numpy a pruned engine steps the reference cascade per tick.
         """
         try:
             arr = np.asarray(values, dtype=np.float64)

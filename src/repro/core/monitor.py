@@ -56,7 +56,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.admission import resolve_admission
 from repro.core.backends import BackendSpec, resolve_backend, use_backend
 from repro.core.engine import ExecutionPlan, FusedBank, build_plan
 from repro.core.fused import FusedSpring
@@ -135,7 +134,13 @@ class StreamMonitor:
         cannot match are parked, skipping their O(m) column update.
         Emitted events are byte-identical with pruning on or off (see
         ``docs/algorithm.md`` §11); disable only for debugging or A/B
-        measurement (the CLI exposes this as ``--no-prune``).
+        measurement (the CLI exposes this as ``--no-prune``).  Each
+        bank's size picks its admission strategy: grouped admission,
+        which certifies whole merged-envelope groups of parked queries
+        with one test per group, from
+        :data:`~repro.core.admission.AUTO_GROUP_MIN_QUERIES` queries,
+        and the flat cascade below that; decisions and events are
+        byte-identical either way (see :mod:`repro.core.admission`).
     prune_buffer:
         Ring-buffer capacity (values) retained per bank for exact
         catch-up replay of parked spans.  Spans that outgrow it still
@@ -149,16 +154,6 @@ class StreamMonitor:
         compilation happens here rather than on the first push.  A
         runtime property only — events are bit-identical across
         backends and checkpoints never record the choice.
-    admission:
-        Admission strategy for the pruning cascade —
-        ``"flat"``/``"grouped"``/``"auto"`` (``None`` = auto; see
-        :mod:`repro.core.admission`).  Grouped admission certifies
-        whole merged-envelope groups of parked queries with one test
-        per group, making admission sublinear in bank size; decisions
-        and events are byte-identical across strategies, so like the
-        backend this is a runtime property checkpoints never record.
-    admission_group_size:
-        Queries per merged-envelope group for grouped admission.
 
     Example
     -------
@@ -178,8 +173,6 @@ class StreamMonitor:
         prune: bool = True,
         prune_buffer: int = 1024,
         backend: BackendSpec = None,
-        admission: Optional[str] = None,
-        admission_group_size: Optional[int] = None,
     ) -> None:
         # Resolve now: explicit-but-unavailable specs raise here, and
         # compilation/warm-up cost lands at construction, never on a
@@ -208,17 +201,6 @@ class StreamMonitor:
                 f"prune_buffer must be a positive integer, got {prune_buffer}"
             )
         self._prune_buffer = prune_buffer
-        # Validate eagerly (same contract as the backend spec) and keep
-        # the canonical names for every plan this monitor builds.
-        self._admission = resolve_admission(admission)
-        if admission_group_size is not None:
-            admission_group_size = int(admission_group_size)
-            if admission_group_size < 1:
-                raise ValidationError(
-                    f"admission_group_size must be a positive integer, "
-                    f"got {admission_group_size}"
-                )
-        self._admission_group_size = admission_group_size
         # stream -> [pruned_ticks, replays, replayed_ticks,
         # groups_certified, group_descents] folded from retired plans
         # (live engines add their own counters on top).
@@ -237,12 +219,6 @@ class StreamMonitor:
     def backend_name(self) -> str:
         """Registry name of the kernel backend in use."""
         return self._backend.name
-
-    @property
-    def admission_name(self) -> str:
-        """Canonical admission-strategy name this monitor builds plans
-        with (``"auto"`` resolves per bank at plan-build time)."""
-        return self._admission
 
     @property
     def streams(self) -> List[str]:
@@ -536,8 +512,6 @@ class StreamMonitor:
                 self._matchers[stream],
                 prune_buffer=self._prune_buffer if self._prune else None,
                 backend=self._backend,
-                admission=self._admission,
-                admission_group_size=self._admission_group_size,
             )
             self._plans[stream] = plan
         return plan
@@ -656,8 +630,6 @@ class StreamMonitor:
             self._matchers[stream],
             prune_buffer=buffer,
             backend=self._backend,
-            admission=self._admission,
-            admission_group_size=self._admission_group_size,
         )
         matched = set()
         for bank in plan.banks:

@@ -85,7 +85,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.admission import resolve_admission
 from repro.core.monitor import MatchEvent, StreamMonitor
 from repro.exceptions import CheckpointError, ShardingError, ValidationError
 from repro.obs.metrics import MetricsRegistry, merge_snapshot
@@ -197,8 +196,6 @@ class _UnitRunner:
                     prune=cfg["prune"],
                     prune_buffer=cfg["prune_buffer"],
                     backend=cfg["backend"],
-                    admission=cfg.get("admission"),
-                    admission_group_size=cfg.get("admission_group_size"),
                 )
                 self.applied = int(
                     meta["stream_ticks"].get(self.stream, meta["watermark"])
@@ -214,8 +211,6 @@ class _UnitRunner:
                 prune=cfg["prune"],
                 prune_buffer=cfg["prune_buffer"],
                 backend=cfg["backend"],
-                admission=cfg.get("admission"),
-                admission_group_size=cfg.get("admission_group_size"),
             )
             for spec in payload["queries"]:
                 monitor.add_query(
@@ -792,7 +787,7 @@ class ShardedMonitor:
     command_timeout / finish_timeout / spawn_timeout:
         Deadlines for lifecycle-command barriers, the final drain, and
         worker startup; expiry raises :class:`ShardingError`.
-    prune / prune_buffer / backend / admission / admission_group_size:
+    prune / prune_buffer / backend:
         Forwarded to every worker-side :class:`StreamMonitor`.
     fault_injector:
         Optional :class:`WorkerFaultInjector` for chaos drills.
@@ -825,8 +820,6 @@ class ShardedMonitor:
         prune: bool = True,
         prune_buffer: int = 1024,
         backend: Optional[str] = None,
-        admission: Optional[str] = None,
-        admission_group_size: Optional[int] = None,
         fault_injector: Optional[WorkerFaultInjector] = None,
         keep_events: bool = True,
         start_method: str = "spawn",
@@ -857,18 +850,6 @@ class ShardedMonitor:
         self.prune = bool(prune)
         self.prune_buffer = int(prune_buffer)
         self.backend = backend
-        # Fail fast in the supervisor, not inside a worker process.
-        self.admission = resolve_admission(admission)
-        if admission_group_size is not None and int(admission_group_size) < 1:
-            raise ValidationError(
-                "admission_group_size must be >= 1, "
-                f"got {admission_group_size}"
-            )
-        self.admission_group_size = (
-            int(admission_group_size)
-            if admission_group_size is not None
-            else None
-        )
         self.fault_injector = fault_injector
         self.keep_events = bool(keep_events)
         self.start_method = start_method
@@ -1144,8 +1125,6 @@ class ShardedMonitor:
             "prune": self.prune,
             "prune_buffer": self.prune_buffer,
             "backend": self.backend,
-            "admission": self.admission,
-            "admission_group_size": self.admission_group_size,
             "heartbeat_interval": self.heartbeat_interval,
             "batch_limit": self.batch_limit,
             "metrics": self._registry is not None,
@@ -1211,9 +1190,7 @@ class ShardedMonitor:
         # Fresh queues per incarnation: the previous incarnation may
         # have died holding its event queue's feeder lock, or left a
         # torn message in the pipe — either would wedge a reused queue
-        # forever.  Discarding closes the supervisor's write end, so
-        # the old pump thread drains to EOF and exits on its own.
-        self._discard_event_queue(handle)
+        # forever (_on_death has discarded and drained the old one).
         handle.queue = self._ctx.Queue()
         handle.event_queue = self._ctx.Queue()
         handle.hello = False
@@ -1310,16 +1287,20 @@ class ShardedMonitor:
         have poisoned.
         """
         try:
-            message = self._inbox.get(timeout=timeout)
+            self._on_message(self._inbox.get(timeout=timeout))
         except queue_module.Empty:
-            message = None
-        while message is not None:
-            self._on_message(message)
+            pass
+        self._drain_inbox()
+        self._check_workers()
+
+    def _drain_inbox(self) -> None:
+        """Handle every message the pumps have forwarded so far."""
+        while True:
             try:
                 message = self._inbox.get_nowait()
             except queue_module.Empty:
-                message = None
-        self._check_workers()
+                return
+            self._on_message(message)
 
     def _discard_event_queue(self, handle: _WorkerHandle) -> None:
         """Abandon one incarnation's event queue (recovery/teardown).
@@ -1484,6 +1465,16 @@ class ShardedMonitor:
                 )
 
     def _on_death(self, handle: _WorkerHandle, reason: str) -> None:
+        # Accept what the dead incarnation already sent before its
+        # generation goes stale: the restart resumes from the newest
+        # checkpoint, whose events_emitted counts those events, so they
+        # would never be emitted again.  Its pipe reaches EOF once
+        # drained (the worker is gone), which ends the pump.
+        self._discard_event_queue(handle)
+        if handle.pump is not None:
+            handle.pump.join(timeout=5)
+            handle.pump = None
+        self._drain_inbox()  # not _service: it would re-enter this check
         handle.gen += 1  # invalidates any in-flight stale messages
         handle.last_error = reason
         if handle.restarts >= self.max_restarts:

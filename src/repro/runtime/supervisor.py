@@ -234,8 +234,6 @@ class SupervisedRunner:
         prune: bool = True,
         prune_buffer: int = 1024,
         backend=None,
-        admission=None,
-        admission_group_size=None,
     ) -> "SupervisedRunner":
         """Restore the newest snapshot and prepare replay past its cursor.
 
@@ -246,17 +244,14 @@ class SupervisedRunner:
         the suffix an uninterrupted run would have emitted after the
         snapshot's ``events_emitted``-th event.  ``prune`` /
         ``prune_buffer`` configure the restored monitor's admission
-        cascade (see :class:`~repro.core.monitor.StreamMonitor`);
-        ``backend`` its kernel backend and ``admission`` /
-        ``admission_group_size`` its admission strategy (runtime
-        properties, never part of the snapshot).
+        cascade (see :class:`~repro.core.monitor.StreamMonitor`) and
+        ``backend`` its kernel backend (a runtime property, never part
+        of the snapshot).
         """
         monitor, meta = checkpoint.resume(
             prune=prune,
             prune_buffer=prune_buffer,
             backend=backend,
-            admission=admission,
-            admission_group_size=admission_group_size,
         )
         runner = cls(
             monitor,

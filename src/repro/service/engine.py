@@ -83,8 +83,6 @@ class EngineConfig:
     streams: Sequence[str] = ()
     shards: int = 0
     backend: Optional[str] = None
-    admission: Optional[str] = None
-    admission_group_size: Optional[int] = None
     prune: bool = True
     prune_buffer: int = 1024
     checkpoint_dir: Union[str, Path, None] = None
@@ -208,8 +206,6 @@ class ServiceEngine:
                 prune=cfg.prune,
                 prune_buffer=cfg.prune_buffer,
                 backend=cfg.backend,
-                admission=cfg.admission,
-                admission_group_size=cfg.admission_group_size,
             )
             self._monitor = monitor
             self._ticks = dict(resumed_meta["stream_ticks"])
@@ -233,8 +229,6 @@ class ServiceEngine:
                 prune=cfg.prune,
                 prune_buffer=cfg.prune_buffer,
                 backend=cfg.backend,
-                admission=cfg.admission,
-                admission_group_size=cfg.admission_group_size,
                 keep_events=False,
             )
             if not cfg.streams:
@@ -257,8 +251,6 @@ class ServiceEngine:
                 prune=cfg.prune,
                 prune_buffer=cfg.prune_buffer,
                 backend=cfg.backend,
-                admission=cfg.admission,
-                admission_group_size=cfg.admission_group_size,
             )
             for stream in cfg.streams:
                 monitor.add_stream(stream)
@@ -668,9 +660,8 @@ class ServiceEngine:
             "mode": "sharded" if self.sharded else "in-process",
             "shards": int(self.config.shards),
             "backend": getattr(monitor, "backend_name", self.config.backend),
-            "admission": getattr(
-                monitor, "admission_name", self.config.admission
-            ),
+            # Every bank's size picks its strategy (repro.core.admission).
+            "admission": "auto",
             "streams": {
                 stream: {
                     "watermark": int(self._ticks.get(stream, 0)),

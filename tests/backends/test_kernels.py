@@ -1,6 +1,6 @@
 """Direct kernel parity: every available backend vs the NumPy reference.
 
-Each backend's four kernel entry points are checked bit-for-bit against
+Each backend's kernel entry points are checked bit-for-bit against
 the reference implementations on randomized inputs, including ``inf``
 resets and NaN placement (payload bits are canonicalised before byte
 comparison — the one degree of freedom the exactness contract leaves
@@ -22,7 +22,6 @@ from repro.core import FusedSpring, Spring, StreamMonitor
 from repro.core.backends import BankKernel, available_backends, resolve_backend
 from repro.core.checkpoint import dump_monitor_json, save_monitor
 from repro.core.state import SpringState, update_column, update_columns
-from repro.dtw.lower_bounds import lb_corridor
 
 BACKENDS = available_backends()
 
@@ -100,55 +99,84 @@ def test_update_column_bitexact_over_a_stream(backend, rng):
 
 
 # ----------------------------------------------------------------------
-# lb_corridor
+# the corridor boundary inside the compiled admission loop
 # ----------------------------------------------------------------------
+
+#: Corridor [100, 101] for every query; the edge value sits outside it.
+BOUNDARY_QUERIES = [
+    [100.0, 101.0, 100.5],
+    [101.0, 100.0, 100.25],
+    [100.5, 100.0, 101.0],
+    [100.0, 100.75, 101.0],
+    [101.0, 100.5, 100.0],
+    [100.25, 101.0, 100.0],
+]
+BOUNDARY_EDGE = 103.0
+BOUNDARY_FAR = 0.0
 
 
 @pytest.mark.parametrize("kind", ["squared", "absolute"])
-def test_lb_corridor_bitexact(backend, rng, kind):
-    lo = rng.uniform(-5.0, 2.0, size=16)
-    hi = lo + rng.uniform(0.0, 6.0, size=16)
-    for x in (-10.0, 0.0, 1.5, 7.0, float(lo[0]), float(hi[3])):
-        want = lb_corridor(x, lo, hi, kind)
-        got = backend.lb_corridor(x, lo, hi, kind)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+@pytest.mark.parametrize("admission", ["flat", "grouped"])
+@pytest.mark.parametrize(
+    "name", [b for b in BACKENDS if resolve_backend(b).compiled]
+)
+def test_corridor_boundary_through_the_compiled_loop(
+    name, admission, kind, rng
+):
+    """Every corridor test is a strict ``>``: a query whose bound lands
+    exactly on its ε neither stays parked nor parks.
 
-
-# ----------------------------------------------------------------------
-# group_corridor
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["squared", "absolute"])
-def test_group_corridor_bitexact(backend, rng, kind):
-    """The group certification verdict matches the reference exactly.
-
-    The verdict is a strict ``>`` on the very float the reference bound
-    computes, so ``eps`` values are planted directly *on* several group
-    bounds to pin the boundary: a backend that certifies with ``>=``, or
-    whose bound differs by one ulp, flips a verdict byte here.
+    Half the queries get ``eps = lb_corridor(edge, lo, hi)`` exactly, the
+    rest a tighter ε, so every merged group holding a planted query has
+    its bound on its loosest ε too.  After a warm-up that matches each
+    query and a cold run that parks them all, far values alternate with
+    the edge value; the compiled pruned ``extend`` must track the numpy
+    reference cascade batch by batch.  A ``>=`` anywhere in the loop
+    (group certification, member descent, flat wake or parking) flips a
+    wake or a park here.
     """
-    lo = rng.uniform(-5.0, 2.0, size=16)
-    hi = lo + rng.uniform(0.0, 6.0, size=16)
-    for x in (-10.0, 0.0, 1.5, 7.0, float(lo[0]), float(hi[3])):
-        bounds = lb_corridor(x, lo, hi, kind)
-        eps = rng.uniform(0.0, 8.0, size=16)
-        eps[::3] = bounds[::3]  # exact boundary: must NOT certify
-        want = bounds > eps
-        got = backend.group_corridor(x, lo, hi, eps, kind)
-        assert np.asarray(got).dtype == np.bool_
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    from repro.core import QueryBank
+    from repro.dtw.lower_bounds import lb_corridor
 
+    lo = np.array([min(q) for q in BOUNDARY_QUERIES])
+    hi = np.array([max(q) for q in BOUNDARY_QUERIES])
+    edge_lb = lb_corridor(BOUNDARY_EDGE, lo, hi, kind)
+    eps = np.where(np.arange(len(BOUNDARY_QUERIES)) % 2 == 0, edge_lb, 0.75 * edge_lb)
 
-def test_group_corridor_unknown_kind_rejected(backend):
-    """Unprunable distances reject identically on every backend."""
-    from repro.exceptions import ValidationError
+    def build(backend):
+        return FusedSpring(
+            QueryBank(BOUNDARY_QUERIES, epsilons=eps, local_distance=kind),
+            prune_buffer=16,
+            backend=backend,
+            admission=admission,
+            admission_group_size=2,
+        )
 
-    lo = np.array([0.0, 3.0])
-    hi = np.array([1.0, 4.0])
-    eps = np.array([0.5, 2.0])
-    with pytest.raises(ValidationError):
-        backend.group_corridor(2.0, lo, hi, eps, "custom")
+    def sig(pairs):
+        return [(qi, m.start, m.end, m.distance, m.output_time)
+                for qi, m in pairs]
+
+    warm = [v for q in BOUNDARY_QUERIES for v in q] + [BOUNDARY_FAR] * 8
+    tail = rng.choice([BOUNDARY_FAR, BOUNDARY_EDGE], size=80, p=[0.6, 0.4])
+    stream = warm + tail.tolist()
+    reference, compiled = build("numpy"), build(name)
+    edges_seen = 0
+    pos = 0
+    while pos < len(stream):
+        batch = stream[pos:pos + int(rng.integers(1, 8))]
+        pos += len(batch)
+        assert sig(compiled.extend(batch)) == sig(reference.extend(batch))
+        assert compiled.parked.tobytes() == reference.parked.tobytes()
+        assert compiled.prune_state_dict() == reference.prune_state_dict()
+        if pos > len(warm) and batch[-1] == BOUNDARY_EDGE:
+            # Not vacuous: on the edge the planted queries are hot and
+            # the tighter ones stay parked.
+            assert not reference.parked[::2].any()
+            assert reference.parked[1::2].all()
+            edges_seen += 1
+    assert edges_seen > 0 and reference.replays > 0
+    if admission == "grouped":
+        assert reference.group_descents > 0
 
 
 # ----------------------------------------------------------------------

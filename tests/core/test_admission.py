@@ -2,10 +2,10 @@
 
 Grouped-vs-flat *parity* lives in
 ``tests/properties/test_admission_parity.py``; this module pins the
-registry surface, auto selection, the counter semantics of the grouped
-tier, index-rebuild laziness across park/wake, and the validation
-surface — deterministically, the way ``test_prune`` does for the flat
-cascade's lifecycle.
+strategy names, the size rule that picks a strategy, the counter
+semantics of the grouped tier, index-rebuild laziness across park/wake,
+and the validation surface — deterministically, the way ``test_prune``
+does for the flat cascade's lifecycle.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from repro.core.admission import (
     AUTO_GROUP_MIN_QUERIES,
     DEFAULT_GROUP_SIZE,
     AdmissionCascade,
-    FlatAdmission,
     GroupedAdmission,
-    admission_kinds,
     create_admission,
-    register_admission,
     resolve_admission,
 )
 from repro.exceptions import ValidationError
+from tests.pinning import pin_admission
 
 QUERIES = [[100.0, 101.0, 99.5], [100.5, 99.0, 100.0], [99.8, 100.2]]
 EPSILON = 4.0
@@ -51,11 +49,7 @@ def _park_all(engine, cold_ticks=20):
 
 
 class TestRegistry:
-    def test_builtin_strategies_listed(self):
-        kinds = admission_kinds()
-        assert "flat" in kinds
-        assert "grouped" in kinds
-        assert "auto" not in kinds  # selector, not a strategy
+    """The fixed strategy names, plus the ``auto`` selector."""
 
     def test_resolve_defaults_to_auto(self):
         assert resolve_admission(None) == "auto"
@@ -65,54 +59,6 @@ class TestRegistry:
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValidationError, match="unknown admission"):
             resolve_admission("tiered-maybe")
-
-    def test_reregistering_same_factory_is_noop(self):
-        register_admission("flat", FlatAdmission)
-
-    def test_conflicting_registration_rejected(self):
-        with pytest.raises(ValidationError, match="already registered"):
-            register_admission("flat", GroupedAdmission)
-
-    def test_custom_strategy_pluggable(self):
-        class Custom(FlatAdmission):
-            kind = "test-custom"
-
-        register_admission("test-custom", Custom)
-        try:
-            engine = _engine("test-custom")
-            assert engine.admission_kind == "test-custom"
-            _park_all(engine)
-            assert engine.parked.all()
-        finally:
-            from repro.core import admission as module
-
-            module._REGISTRY.pop("test-custom")
-
-
-    def test_custom_decision_keeps_the_per_tick_path(self):
-        """A strategy that redefines the decision never runs through a
-        compiled loop that would reproduce the built-in one instead."""
-
-        class NeverPark(FlatAdmission):
-            kind = "test-never-park"
-
-            def _admit(self, x):
-                self.buffer.push(x)
-                return np.ones(self.engine.q, dtype=bool), self.engine.q
-
-        assert FlatAdmission.native == "flat"
-        assert GroupedAdmission.native == "grouped"
-        assert NeverPark.native is None
-        register_admission("test-never-park", NeverPark)
-        try:
-            engine = _engine("test-never-park")
-            assert not engine._native_prune
-            engine.extend(WARM + [0.0] * 20)
-            assert not engine.parked.any()
-        finally:
-            from repro.core import admission as module
-
-            module._REGISTRY.pop("test-never-park")
 
 
 class TestAutoSelection:
@@ -143,6 +89,42 @@ class TestAutoSelection:
         assert engine.groups_certified == 0
 
 
+def _monitor_cascade(n_queries):
+    """The admission cascade a one-stream monitor's bank of
+    ``n_queries`` spring queries gets at its first push."""
+    monitor = StreamMonitor()
+    monitor.add_stream("s")
+    for i in range(n_queries):
+        monitor.add_query(f"q{i}", [100.0 + 0.01 * i, 100.5], epsilon=EPSILON)
+    monitor.push("s", 0.0)
+    (bank,) = monitor._plans["s"].banks
+    return bank.engine.admission
+
+
+class TestMonitorSizeRule:
+    """Above ``FusedSpring`` the bank's size is the only thing that
+    picks the strategy."""
+
+    @pytest.mark.parametrize(
+        "n_queries, kind",
+        [(AUTO_GROUP_MIN_QUERIES - 1, "flat"), (AUTO_GROUP_MIN_QUERIES, "grouped")],
+    )
+    def test_bank_size_picks_the_strategy(self, n_queries, kind):
+        assert AUTO_GROUP_MIN_QUERIES == 128
+        cascade = _monitor_cascade(n_queries)
+        assert cascade.kind == kind
+        assert cascade.group_size == DEFAULT_GROUP_SIZE
+
+    def test_pin_moves_the_size_rule(self):
+        with pin_admission("grouped", 2):
+            cascade = _monitor_cascade(3)
+        assert (cascade.kind, cascade.group_size) == ("grouped", 2)
+        with pin_admission("flat"):
+            cascade = _monitor_cascade(AUTO_GROUP_MIN_QUERIES)
+        assert cascade.kind == "flat"
+        assert _monitor_cascade(3).kind == "flat"  # the pin is undone
+
+
 class TestValidation:
     def test_unknown_strategy_fails_at_construction(self):
         with pytest.raises(ValidationError):
@@ -153,12 +135,6 @@ class TestValidation:
             _engine("grouped", 0)
         with pytest.raises(ValidationError):
             create_admission("grouped", _engine(), 16, group_size=-1)
-
-    def test_monitor_validates_eagerly(self):
-        with pytest.raises(ValidationError):
-            StreamMonitor(admission="bogus")
-        with pytest.raises(ValidationError):
-            StreamMonitor(admission="grouped", admission_group_size=0)
 
 
 class TestGroupedTier:

@@ -1,4 +1,4 @@
-"""Unit tests for the DTW lower bounds (LB_Kim, LB_Yi, LB_Keogh)."""
+"""Unit tests for the DTW lower bounds (LB_Kim, LB_Yi, LB_Keogh, corridor)."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from repro.dtw import (
     lb_kim,
     lb_yi,
 )
+from repro.dtw.lower_bounds import lb_corridor
 from repro.exceptions import ValidationError
 
 
@@ -82,3 +83,11 @@ class TestLbKeogh:
         y = rng.normal(size=20)
         bounds = [lb_keogh(x, y, r) for r in (0, 2, 5, 10)]
         assert all(a >= b - 1e-12 for a, b in zip(bounds, bounds[1:]))
+
+
+class TestLbCorridor:
+    def test_rejects_distances_without_a_corridor_bound(self):
+        lo = np.array([0.0, 3.0])
+        hi = np.array([1.0, 4.0])
+        with pytest.raises(ValidationError, match="no corridor bound"):
+            lb_corridor(2.0, lo, hi, "custom")

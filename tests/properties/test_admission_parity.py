@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core import FusedSpring, QueryBank, StreamMonitor
 from repro.core.backends import available_backends
 from repro.core.checkpoint import dump_monitor_json, load_monitor_json
+from tests.pinning import pin_admission
 
 query_values = st.floats(min_value=98.0, max_value=102.0, allow_nan=False)
 cold_values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -183,13 +184,8 @@ class TestBackendSweep:
             assert _events(grouped, stream) == expected, backend
 
 
-def _monitor(admission, specs, group_size=None, prune_buffer=16):
-    monitor = StreamMonitor(
-        prune=True,
-        prune_buffer=prune_buffer,
-        admission=admission,
-        admission_group_size=group_size,
-    )
+def _monitor(specs, prune_buffer=16):
+    monitor = StreamMonitor(prune=True, prune_buffer=prune_buffer)
     monitor.add_stream("s")
     for name, query, eps in specs:
         monitor.add_query(name, query, epsilon=eps)
@@ -225,21 +221,22 @@ class TestCheckpointKillAtAnyTick:
         specs = [(f"q{i}", q, epsilon) for i, q in enumerate(queries)]
         cut = max(1, int(len(stream) * cut_frac))
 
-        unbroken = _monitor("grouped", specs, group_size)
-        prefix_expected = _push_all(unbroken, stream[:cut])
-        suffix_expected = _push_all(unbroken, stream[cut:])
+        with pin_admission("grouped", group_size):
+            unbroken = _monitor(specs)
+            prefix_expected = _push_all(unbroken, stream[:cut])
+            suffix_expected = _push_all(unbroken, stream[cut:])
 
-        victim = _monitor("grouped", specs, group_size)
-        assert _push_all(victim, stream[:cut]) == prefix_expected
-        blob = dump_monitor_json(victim)
+            victim = _monitor(specs)
+            assert _push_all(victim, stream[:cut]) == prefix_expected
+            blob = dump_monitor_json(victim)
 
         if resume_grouped:
-            resumed = load_monitor_json(
-                blob, admission="grouped", admission_group_size=group_size
-            )
+            pin = pin_admission("grouped", group_size)
         else:
-            resumed = load_monitor_json(blob, admission="flat")
-        assert _push_all(resumed, stream[cut:]) == suffix_expected
+            pin = pin_admission("flat")
+        with pin:
+            resumed = load_monitor_json(blob)
+            assert _push_all(resumed, stream[cut:]) == suffix_expected
 
     def test_parking_actually_engages_in_groups(self):
         """Guard against vacuous parity: groups really certify."""

@@ -28,6 +28,7 @@ from repro.service import protocol
 from repro.service.client import ProducerClient, ServiceConnection
 from repro.service.engine import EngineConfig
 from repro.service.server import start_in_thread
+from tests.pinning import pin_admission
 
 BACKENDS = available_backends()
 ADMISSIONS = ("flat", "grouped")
@@ -68,12 +69,10 @@ def _workload(rng) -> Dict[str, List[np.ndarray]]:
 
 
 def _direct_frames(
-    batches: Dict[str, List[np.ndarray]], backend: str, admission: str
+    batches: Dict[str, List[np.ndarray]], backend: str
 ) -> Dict[str, List[bytes]]:
     """Ground truth: local push_many, events through the wire encoder."""
-    monitor = StreamMonitor(
-        keep_history=False, backend=backend, admission=admission
-    )
+    monitor = StreamMonitor(keep_history=False, backend=backend)
     for stream in batches:
         monitor.add_stream(stream)
     for name, query, epsilon, kwargs in QUERIES:
@@ -97,7 +96,6 @@ def _direct_frames(
 def _wire_frames(
     batches: Dict[str, List[np.ndarray]],
     backend: str,
-    admission: str,
     pipelined: bool,
 ) -> Dict[str, List[bytes]]:
     """The same workload through sockets; raw event lines, unparsed.
@@ -108,10 +106,7 @@ def _wire_frames(
     them in runs.
     """
     config = EngineConfig(
-        streams=tuple(batches),
-        backend=backend,
-        admission=admission,
-        queries=QUERIES,
+        streams=tuple(batches), backend=backend, queries=QUERIES
     )
     handle = start_in_thread(config)
     try:
@@ -168,15 +163,19 @@ def test_wire_events_byte_identical_to_direct(
     rng, backend, admission, pipelined
 ):
     batches = _workload(rng)
-    direct = _direct_frames(batches, backend, admission)
-    # Sanity: the workload actually exercises every query.
-    seen_queries = {
-        json.loads(line)["query"]
-        for lines in direct.values()
-        for line in lines
-    }
-    assert seen_queries == {name for name, _, _, _ in QUERIES}
-    wire = _wire_frames(batches, backend, admission, pipelined)
+    # Each bank's size picks its strategy; the pin moves that rule for
+    # both sides, and covers the server's life (plans are built at the
+    # first push).
+    with pin_admission(admission):
+        direct = _direct_frames(batches, backend)
+        # Sanity: the workload actually exercises every query.
+        seen_queries = {
+            json.loads(line)["query"]
+            for lines in direct.values()
+            for line in lines
+        }
+        assert seen_queries == {name for name, _, _, _ in QUERIES}
+        wire = _wire_frames(batches, backend, pipelined)
     for stream in STREAMS:
         assert wire[stream] == direct[stream], (
             f"stream {stream!r}: wire events diverge from direct push_many "
@@ -188,7 +187,8 @@ def test_wire_events_byte_identical_to_direct(
 def test_event_frames_use_serde_float_encoding(rng):
     """Distances on the wire survive exact round-trips (no repr drift)."""
     batches = _workload(rng)
-    direct = _direct_frames(batches, "numpy", "flat")
+    with pin_admission("flat"):
+        direct = _direct_frames(batches, "numpy")
     for lines in direct.values():
         for line in lines:
             frame = json.loads(line)

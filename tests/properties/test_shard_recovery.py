@@ -14,11 +14,14 @@ sweep is marked ``slow`` and runs in CI's dedicated shard job.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.monitor import StreamMonitor
 from repro.runtime import ShardedMonitor, WorkerFaultInjector
+from repro.runtime import shard
 
 CHECKPOINT_EVERY = 25
 
@@ -79,6 +82,32 @@ class TestKillAtAnyTick:
         report = _run_with_kill(kill_tick, tmp_path)
         assert report.restarts == 1
         assert report.quarantined == []
+        assert report.events == expected
+
+    def test_events_sent_before_a_kill_survive_a_slow_pump(
+        self, tmp_path, monkeypatch
+    ):
+        """The supervisor accepts what a dead incarnation already sent
+        before its restart: the restarted unit resumes from a checkpoint
+        that counts those events, so dropping them as stale loses them
+        for good.  A pump that holds each events message makes them
+        still sit in the pipe when the death is noticed."""
+
+        def slow_pump(event_queue, inbox):
+            while True:
+                try:
+                    message = event_queue.get()
+                except Exception:  # noqa: BLE001 - EOF or torn payload
+                    return
+                if message[0] == "events":
+                    time.sleep(0.2)
+                inbox.put(message)
+
+        monkeypatch.setattr(shard, "_pump_events", slow_pump)
+        queries, streams = _workload()
+        expected = _expected(queries, streams)
+        report = _run_with_kill(113, tmp_path)
+        assert report.restarts == 1
         assert report.events == expected
 
     @pytest.mark.slow
