@@ -3,7 +3,8 @@
 The compiled tier.  It needs only what almost every host already has —
 a C compiler — and the standard library: the kernel source below is
 compiled to a shared object on first use (cached on disk, keyed by a
-hash of source and flags) and loaded with ``ctypes``.  No third-party
+hash of source, flags and the host's CPU flag list) and loaded with
+``ctypes``.  No third-party
 dependency, no build step at install time; when no compiler is present
 the registry simply reports the backend unavailable and selection
 falls back to numpy.  Banks on a custom local distance have no compiled
@@ -41,22 +42,18 @@ the fused bank path never even produces NaN in ``d``: stream values are
 validated finite, so costs and their cumulative sums are finite and
 the recurrence stays in ``{finite, +inf}``.
 
-**Speed.**  Straightforward scalar C compiles to compare-and-branch
-selects (GCC emits ``comisd``/``jnb`` even for ternaries at ``-O2``),
-which the data-dependent tie pattern of the recurrence mispredicts
-into ~13 ns/cell.  The bank sweep therefore walks the column dimension
-outermost over a *transposed* copy of the query bank and processes two
-queries per 128-bit SSE2 vector, expressing every select as a compare
-mask plus bitwise blend (``cmple/cmplt/cmpord`` + ``and/andnot/or``)
-that never leaves the SIMD domain — branch-free, ~2.5 ns/cell, and
-bit-identical because mask blends select operand bits verbatim.  Rows
-are swept longest query first, so column ``j`` runs only the prefix of
-rows whose query is longer than ``j``: a tick costs the sum of the
-stepped queries' lengths, never a padded cell (those keep the
-``+inf`` / ``0`` the engine starts them at).  An odd prefix runs its
-last row as a pair that stores one lane.  A scalar branch-free form
-(`row_sweep_one`, bounded by the row's own length) serves replays and
-non-SSE2 targets.
+**Speed.**  Scalar C compiles the recurrence's selects to
+compare-and-branch (``comisd``/``jnb``), which its data-dependent tie
+pattern mispredicts, so every select is a compare mask plus a bitwise
+blend: branch-free, and bit-identical because a blend selects operand
+bits verbatim.  The bank sweep takes its rows longest query first in
+blocks of one row per vector lane (GCC/Clang vector extensions: 4 lanes
+with AVX2, else 2).  A block runs through all its columns with each
+lane's scan state in registers, and a lane stores only its own row's
+cells, so a tick costs the stepped queries' lengths and never writes a
+padded cell.  The object is built for the host's vector width
+(``-march=native`` where the CPU flag list can be read; the list is
+part of the cache key).  A replay runs as a block of one row.
 
 **Pruned batches.**  `spring_extend_pruned` runs the admission cascade
 of :mod:`repro.core.admission` inside the extend loop — ring push,
@@ -69,10 +66,11 @@ grouped tick that changed the parked set, so the group index is rebuilt
 before the next tick.
 
 A self-test at load time re-derives a column update on an adversarial
-case (ties, infinities, NaN costs, NaN already in ``d``) and compares
-*bytes* (after canonicalising NaN payloads) against the NumPy
-reference; any mismatch marks the backend unavailable rather than
-risking silent drift on an exotic platform.
+case (ties, infinities, NaN costs, NaN already in ``d``), steps a small
+ragged bank through the compiled sweep, and compares *bytes* (after
+canonicalising NaN payloads) against the NumPy reference; any mismatch
+marks the backend unavailable rather than risking silent drift on an
+exotic platform or target width.
 """
 
 from __future__ import annotations
@@ -124,12 +122,9 @@ _PP_EMIT_D = 17  # double*  emission ring: distance
 _PP_EMIT_TS = 18  # int64_t* emission ring: start
 _PP_EMIT_TE = 19  # int64_t* emission ring: end
 _PP_EMIT_T = 20  # int64_t* emission ring: output time
-_PP_SCR_F = 21  # double*  (3, Q+1) column-sweep chain state (csum/running/diag)
-_PP_SCR_I = 22  # int64_t* (3, Q+1) column-sweep chain state (src/start/diag_s)
-_PP_YT = 23  # double*  (m_max, Q) transposed query bank (vector sweep)
-_PP_ORDER = 24  # int64_t* (2, Q+1) sweep order: whole bank, hot-subset scratch
-_PP_ACTIVE = 25  # int64_t* (2, m_max+1) rows with >= c cells, same halves
-_PP_SLOTS = 26
+_PP_ORDER = 21  # int64_t* (2, Q) sweep order: whole bank, hot-subset scratch
+_PP_COUNTS = 22  # int64_t* (m_max+1,) counting-sort scratch of the order
+_PP_SLOTS = 23
 
 # Admission-block slots of the pruned extend loop.  Array addresses are
 # bound once per cascade (ring and group index again when they are
@@ -170,9 +165,6 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 #include <math.h>
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 
 #define PP_KIND 0
 #define PP_Q 1
@@ -195,11 +187,8 @@ _SOURCE = r"""
 #define PP_EMIT_TS 18
 #define PP_EMIT_TE 19
 #define PP_EMIT_T 20
-#define PP_SCR_F 21
-#define PP_SCR_I 22
-#define PP_YT 23
-#define PP_ORDER 24
-#define PP_ACTIVE 25
+#define PP_ORDER 21
+#define PP_COUNTS 22
 
 /* Admission block of the pruned extend loop (mirrors the _AP_* slots). */
 #define AP_GROUPED 0
@@ -231,16 +220,27 @@ _SOURCE = r"""
 #define DPTR(a) ((double *)(intptr_t)(a))
 #define IPTR(a) ((int64_t *)(intptr_t)(a))
 
-static double local_cost(int64_t kind, double x, double y) {
-    double t = x - y;
-    return kind == 0 ? t * t : fabs(t);
-}
+/* Lanes per block: the doubles one vector register of the target holds
+ * (4 with AVX2; 2 with SSE2 on x86-64 or NEON on aarch64).  The count
+ * follows the target the source is compiled for and is never fixed: a
+ * vector wider than the target's registers splits into slow pieces. */
+#ifdef __AVX2__
+#define LANES 4
+#else
+#define LANES 2
+#endif
+
+typedef double vdbl __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t vint __attribute__((vector_size(LANES * sizeof(int64_t))));
+
+/* The lane count this object was compiled with. */
+int64_t spring_lanes(void) { return LANES; }
 
 /* cond-mask ? a : b, branch-free and bit-exact: the selects in the
  * recurrence are data-dependent and unpredictable, so branches cost a
  * mispredict per cell; blending through the integer domain selects the
  * exact bit pattern without ever re-deriving a value.  `m` is all-ones
- * or all-zero (from -(int64_t)(cond)). */
+ * or all-zero (from -(int64_t)(cond), or a lane of a vector compare). */
 static inline double dsel(int64_t m, double a, double b) {
     uint64_t ua, ub, ur;
     memcpy(&ua, &a, 8);
@@ -254,6 +254,21 @@ static inline int64_t isel(int64_t m, int64_t a, int64_t b) {
     return (a & m) | (b & ~m);
 }
 
+static inline vdbl vdsel(vint m, vdbl a, vdbl b) {
+    return (vdbl)(((vint)a & m) | ((vint)b & ~m));
+}
+
+static inline vint visel(vint m, vint a, vint b) {
+    return (a & m) | (b & ~m);
+}
+
+/* Local costs of one stream value against a lane of query values:
+ * (x-y)**2, or |x-y| by clearing the sign bit (exactly fabs). */
+static inline vdbl lane_cost(int64_t kind, vdbl xv, vdbl yv) {
+    vdbl t = xv - yv;
+    return kind == 0 ? t * t : (vdbl)((vint)t & INT64_MAX);
+}
+
 /* Out-of-place column update for one query row: the exact NumPy
  * update_column(s) semantics.  `dp`/`sp` are the previous column
  * (m+1 cells incl. the star row), `dn`/`sn` the fresh outputs. */
@@ -262,31 +277,22 @@ static void row_update(const double *dp, const int64_t *sp,
                        double *dn, int64_t *sn) {
     dn[0] = 0.0;
     sn[0] = tick + 1;
-    double csum = 0.0, running = 0.0;
-    int64_t src = 0, start_src = 0;
-    for (int64_t j = 0; j < m; j++) {
+    if (m <= 0) return;
+    /* j == 0: e[0] = cost[0], vd_start[0] = tick: the horizontal-first
+     * star-row entry always wins row 1 (a new minimum: keep the exact e). */
+    double csum = cost[0];
+    double running = csum - csum;
+    int64_t start_src = tick;
+    dn[1] = csum;
+    sn[1] = tick;
+    for (int64_t j = 1; j < m; j++) {
         double c = cost[j];
-        double e;
-        int64_t vs;
-        if (j == 0) {
-            /* e[0] = cost[0], vd_start[0] = tick: the horizontal-first
-             * star-row entry always wins row 1. */
-            e = c;
-            vs = tick;
-            csum = c;
-            running = e - csum;
-            src = 0;
-            start_src = vs;
-            dn[1] = e; /* src == 0: keep the exact e */
-            sn[1] = vs;
-            continue;
-        }
         double v = dp[j + 1], dg = dp[j];
         /* `v <= dg` is false for NaN, routing NaN to the diagonal
          * operand exactly like np.where(v <= d, v, d). */
         int64_t take_v = -(int64_t)(v <= dg);
-        e = c + dsel(take_v, v, dg);
-        vs = isel(take_v, sp[j + 1], sp[j]);
+        double e = c + dsel(take_v, v, dg);
+        int64_t vs = isel(take_v, sp[j + 1], sp[j]);
         csum += c;
         double g = e - csum;
         /* np.minimum.accumulate: strict < moves the argmin (earliest
@@ -295,223 +301,145 @@ static void row_update(const double *dp, const int64_t *sp,
         int64_t new_min = -(int64_t)(g < running);
         int64_t poison = -(int64_t)((running == running) & (g != g));
         running = dsel(new_min | poison, g, running);
-        src = isel(new_min, j, src);
         start_src = isel(new_min, vs, start_src);
-        /* src == j exactly when this cell became the new minimum */
+        /* the argmin is j exactly when this cell became the new minimum */
         dn[j + 1] = dsel(new_min, e, csum + running);
         sn[j + 1] = start_src;
     }
 }
 
-/* In-place column update for one query row over its own m_q cells (the
- * padded tail is never touched), the whole recurrence in registers.
- * Used by replays and as the portable fallback of the vector sweep. */
-static void row_sweep_one(const int64_t *pp, double x, int64_t qi) {
-    int64_t mmax = pp[PP_MMAX];
-    int64_t stride = mmax + 1;
-    int64_t m = IPTR(pp[PP_MLEN])[qi];
-    double *d = DPTR(pp[PP_D]) + qi * stride;
-    int64_t *s = IPTR(pp[PP_S]) + qi * stride;
-    const double *y = DPTR(pp[PP_Y]) + qi * mmax;
+/* In-place column update of up to LANES rows as one block: ord[0..live)
+ * are the rows, longest query first.  Each lane runs row_update's exact
+ * operation sequence over its own row, and the scan state — cumulative
+ * cost, running minimum, start of the argmin and the saved diagonal —
+ * stays in vector registers for the whole sweep.  Lanes past `live`
+ * repeat the last row: they read it but never store, and never bump its
+ * tick.  A lane stores column j + 1 only while its row has that cell,
+ * so padded cells keep the +inf / 0 the engine starts them at, and all
+ * reads stay inside each row (j + 1 <= m_max).  A replay runs as a
+ * block of one row. */
+static void sweep_block(const int64_t *pp, double x, const int64_t *ord,
+                        int64_t live) {
+    int64_t mmax = pp[PP_MMAX], stride = mmax + 1;
+    const int64_t *mlen = IPTR(pp[PP_MLEN]);
+    int64_t *ticks = IPTR(pp[PP_TICKS]);
     int64_t kind = pp[PP_KIND];
-    int64_t tick = ++IPTR(pp[PP_TICKS])[qi];
-
-    double diag = d[1]; /* previous column's cell 1: j = 1's diagonal */
-    int64_t diag_s = s[1];
-    d[0] = 0.0;
-    s[0] = tick + 1;
-    /* j == 0: e = cost, start = tick (star-row entry wins row 1). */
-    double c0 = local_cost(kind, x, y[0]);
-    double csum = c0;
-    double running = c0 - c0; /* e - csum; 0.0, or NaN for infinite cost */
-    int64_t src = 0, start_src = tick;
-    d[1] = c0; /* src == j: keep the exact e */
-    s[1] = tick;
-    for (int64_t j = 1; j < m; j++) {
-        double c = local_cost(kind, x, y[j]);
-        double v = d[j + 1];
-        int64_t sv = s[j + 1];
-        int64_t take_v = -(int64_t)(v <= diag);
-        double e = c + dsel(take_v, v, diag);
-        int64_t vs = isel(take_v, sv, diag_s);
-        csum += c;
-        double g = e - csum;
-        int64_t new_min = -(int64_t)(g < running);
-        int64_t poison = -(int64_t)((running == running) & (g != g));
-        running = dsel(new_min | poison, g, running);
-        src = isel(new_min, j, src);
-        start_src = isel(new_min, vs, start_src);
-        diag = v;
-        diag_s = sv;
-        d[j + 1] = dsel(new_min, e, csum + running);
-        s[j + 1] = start_src;
+    double *d[LANES];
+    int64_t *s[LANES];
+    const double *y[LANES];
+    int64_t m[LANES]; /* the cells each lane stores; 0 past `live` */
+    vdbl xv, yv, dg;
+    vint dgs, ss;
+    /* Lane loops are unrolled so each lane's row pointers stay in
+     * registers rather than being reloaded per column. */
+    #pragma GCC unroll 8
+    for (int k = 0; k < LANES; k++) {
+        int64_t qi = ord[k < live ? k : live - 1];
+        d[k] = DPTR(pp[PP_D]) + qi * stride;
+        s[k] = IPTR(pp[PP_S]) + qi * stride;
+        y[k] = DPTR(pp[PP_Y]) + qi * mmax;
+        m[k] = k < live ? mlen[qi] : 0;
+        xv[k] = x;
+        yv[k] = y[k][0];
+        dg[k] = d[k][1]; /* previous column's cell 1: j = 1's diagonal */
+        dgs[k] = s[k][1];
+        ss[k] = 0;
     }
-    (void)src;
+    /* j == 0: e = cost, start = tick (the star-row entry wins row 1). */
+    vdbl cs = lane_cost(kind, xv, yv);
+    vdbl run = cs - cs; /* e - csum: 0.0, or NaN for an infinite cost */
+    for (int k = 0; k < live; k++) {
+        int64_t tick = ++ticks[ord[k]];
+        ss[k] = tick;
+        d[k][0] = 0.0;
+        s[k][0] = tick + 1;
+        d[k][1] = cs[k]; /* a new minimum keeps the exact e */
+        s[k][1] = tick;
+    }
+    for (int64_t j = 1; j < m[0]; j++) {
+        vdbl v;
+        vint sv;
+        #pragma GCC unroll 8
+        for (int k = 0; k < LANES; k++) {
+            v[k] = d[k][j + 1];
+            sv[k] = s[k][j + 1];
+            yv[k] = y[k][j];
+        }
+        vdbl c = lane_cost(kind, xv, yv);
+        /* vertical <= diagonal: vertical wins ties, false for NaN */
+        vint take = (vint)(v <= dg);
+        vdbl e = c + vdsel(take, v, dg);
+        vint vs = visel(take, sv, dgs);
+        cs = cs + c;
+        vdbl g = e - cs;
+        /* np.minimum.accumulate: strict < moves the argmin; a NaN g
+         * poisons a finite running minimum without moving it. */
+        vint nm = (vint)(g < run);
+        vint adopt = nm | ((vint)(run == run) & (vint)(g != g));
+        run = vdsel(adopt, g, run);
+        ss = visel(nm, vs, ss);
+        dg = v;
+        dgs = sv;
+        /* the argmin is j exactly when this cell became the new minimum */
+        vdbl dn = vdsel(nm, e, cs + run);
+        #pragma GCC unroll 8
+        for (int k = 0; k < LANES; k++) {
+            if (j < m[k]) {
+                d[k][j + 1] = dn[k];
+                s[k][j + 1] = ss[k];
+            }
+        }
+    }
 }
 
 /* Order the rows a sweep visits longest query first: `out` receives
- * every row of the bank (rows == 0) or rows[0..n), and active[c] the
- * number of them whose query has at least c cells, so column j runs the
- * prefix of active[j + 1] rows.  A counting sort over the lengths
- * (equal lengths keep their relative order).  out[n] repeats out[n - 1]
- * so that an odd active prefix can load a full pair. */
+ * every row of the bank (rows == 0) or rows[0..n).  A counting sort over
+ * the lengths (equal lengths keep their relative order), so each block
+ * of LANES consecutive rows holds similar lengths and a block's column
+ * count is its first row's. */
 static void order_rows(const int64_t *pp, int64_t n, const int64_t *rows,
-                       int64_t *out, int64_t *active) {
+                       int64_t *out) {
     int64_t mmax = pp[PP_MMAX];
     const int64_t *mlen = IPTR(pp[PP_MLEN]);
-    memset(active, 0, (size_t)(mmax + 1) * sizeof(int64_t));
-    for (int64_t r = 0; r < n; r++) active[mlen[rows ? rows[r] : r]]++;
-    /* active[c]: where the run of length c starts (the longer rows) */
-    for (int64_t c = mmax, start = 0; c >= 1; c--) {
-        int64_t k = active[c];
-        active[c] = start;
-        start += k;
+    int64_t *start = IPTR(pp[PP_COUNTS]);
+    memset(start, 0, (size_t)(mmax + 1) * sizeof(int64_t));
+    for (int64_t r = 0; r < n; r++) start[mlen[rows ? rows[r] : r]]++;
+    /* start[c]: where the run of length c begins (the longer rows first) */
+    for (int64_t c = mmax, at = 0; c >= 1; c--) {
+        int64_t k = start[c];
+        start[c] = at;
+        at += k;
     }
     for (int64_t r = 0; r < n; r++) {
         int64_t qi = rows ? rows[r] : r;
-        out[active[mlen[qi]]++] = qi;
+        out[start[mlen[qi]]++] = qi;
     }
-    /* each run's end: active[c] now counts the rows of length >= c */
-    out[n] = out[n - 1];
 }
 
 /* The whole bank's sweep order, computed once when a kernel binds. */
 void spring_bank_order(int64_t pp_addr) {
     const int64_t *pp = IPTR(pp_addr);
-    order_rows(pp, pp[PP_Q], 0, IPTR(pp[PP_ORDER]), IPTR(pp[PP_ACTIVE]));
+    order_rows(pp, pp[PP_Q], 0, IPTR(pp[PP_ORDER]));
 }
 
-/* In-place column update for the whole bank (or a row subset), swept
- * column-by-column with the per-row scan state (cumulative cost,
- * running minimum, argmin, saved diagonal) spilled to scratch arrays.
- * Sweeping j in the outer loop makes the Q scan chains independent in
- * the inner loop, so the serial (csum, running) dependency of one row
- * no longer bounds throughput; on x86-64 the inner loop runs two rows
- * per 128-bit vector with the compare masks and blends staying in the
- * SIMD domain (branch-free: the selects are unpredictable, and the
- * lane-wise cmple/cmplt/cmpord semantics are exactly NumPy's — false
- * for NaN, strict < for new minima, bitwise-exact blends).
- *
- * Rows are visited longest query first, so column j runs only the
- * prefix of rows whose query has a cell j + 1: a tick sweeps the sum of
- * the stepped queries' lengths (Lemma 4's O(m) per query), never a
- * padded cell.  An odd prefix runs its last row as a pair whose second
- * lane is loaded but not stored.  Also increments the tick counters. */
+/* In-place column update for the whole bank (or a row subset), in
+ * blocks of LANES rows taken longest query first.  A block sweeps its
+ * first row's cells and each lane stores only its own, so a tick costs
+ * the sum of the stepped queries' lengths (Lemma 4's O(m) per query)
+ * plus the idle lanes of a block's ragged tail, never a padded cell.
+ * Also increments the tick counters. */
 static void bank_update_sweep(const int64_t *pp, double x, int64_t nrows,
                               const int64_t *rows) {
-    int64_t q = pp[PP_Q], mmax = pp[PP_MMAX];
+    int64_t q = pp[PP_Q];
     int64_t n = rows ? nrows : q;
-#ifndef __SSE2__
-    for (int64_t r = 0; r < n; r++) {
-        row_sweep_one(pp, x, rows ? rows[r] : r);
+    const int64_t *order = IPTR(pp[PP_ORDER]);
+    if (rows) { /* a hot subset, ordered in the scratch half */
+        order_rows(pp, n, rows, IPTR(pp[PP_ORDER]) + q);
+        order += q;
     }
-#else
-    if (n <= 0) return;
-    int64_t *order = IPTR(pp[PP_ORDER]);
-    int64_t *active = IPTR(pp[PP_ACTIVE]);
-    if (rows) { /* a hot subset, ordered in the scratch halves */
-        order += q + 1;
-        active += mmax + 1;
-        order_rows(pp, n, rows, order, active);
+    for (int64_t r0 = 0; r0 < n; r0 += LANES) {
+        sweep_block(pp, x, order + r0, n - r0 < LANES ? n - r0 : LANES);
     }
-    int64_t stride = mmax + 1;
-    double *dd = DPTR(pp[PP_D]);
-    int64_t *ss = IPTR(pp[PP_S]);
-    int64_t *ticks = IPTR(pp[PP_TICKS]);
-    const double *yt = DPTR(pp[PP_YT]); /* (m_max, q) transposed bank */
-    int64_t kind = pp[PP_KIND];
-    int64_t sq = q + 1; /* scratch stride: a spare slot for the odd lane */
-    double *csum = DPTR(pp[PP_SCR_F]);
-    double *running = csum + sq;
-    double *diag_d = csum + 2 * sq;
-    int64_t *src = IPTR(pp[PP_SCR_I]);
-    int64_t *start_src = src + sq;
-    int64_t *diag_s = src + 2 * sq;
-    int64_t mtop = IPTR(pp[PP_MLEN])[order[0]]; /* longest swept query */
-
-    /* j == 0: e = cost, start = tick (star-row entry wins row 1). */
-    for (int64_t r = 0; r < n; r++) {
-        int64_t qi = order[r];
-        int64_t tick = ++ticks[qi];
-        double *d = dd + qi * stride;
-        int64_t *s = ss + qi * stride;
-        diag_d[r] = d[1]; /* previous column's cell 1: j = 1's diagonal */
-        diag_s[r] = s[1];
-        d[0] = 0.0;
-        s[0] = tick + 1;
-        double c = local_cost(kind, x, yt[qi]);
-        csum[r] = c;
-        running[r] = c - c; /* e - csum; 0.0, or NaN for infinite cost */
-        src[r] = 0;
-        start_src[r] = tick;
-        d[1] = c; /* src == j: keep the exact e */
-        s[1] = tick;
-    }
-    const __m128d xv = _mm_set1_pd(x);
-    const __m128d sign = _mm_set1_pd(-0.0);
-    for (int64_t j = 1; j < mtop; j++) {
-        int64_t na = active[j + 1]; /* rows with m_q > j */
-        const double *yrow = yt + j * q;
-        const __m128d jv = _mm_castsi128_pd(_mm_set1_epi64x(j));
-        for (int64_t r = 0; r < na; r += 2) {
-            int64_t qi0 = order[r];
-            int64_t qi1 = order[r + 1];
-            double *d0 = dd + qi0 * stride + j + 1;
-            double *d1 = dd + qi1 * stride + j + 1;
-            int64_t *s0 = ss + qi0 * stride + j + 1;
-            int64_t *s1 = ss + qi1 * stride + j + 1;
-            __m128d t = _mm_sub_pd(
-                xv, _mm_loadh_pd(_mm_load_sd(yrow + qi0), yrow + qi1));
-            __m128d c = kind == 0 ? _mm_mul_pd(t, t) : _mm_andnot_pd(sign, t);
-            __m128d v = _mm_loadh_pd(_mm_load_sd(d0), d1);
-            __m128d sv = _mm_castsi128_pd(_mm_unpacklo_epi64(
-                _mm_loadl_epi64((const __m128i *)s0),
-                _mm_loadl_epi64((const __m128i *)s1)));
-            __m128d dg = _mm_loadu_pd(diag_d + r);
-            __m128d dgs = _mm_castsi128_pd(
-                _mm_loadu_si128((const __m128i *)(diag_s + r)));
-            /* vertical <= diagonal: vertical wins ties, false for NaN */
-            __m128d take = _mm_cmple_pd(v, dg);
-            __m128d e = _mm_add_pd(
-                c, _mm_or_pd(_mm_and_pd(take, v), _mm_andnot_pd(take, dg)));
-            __m128d vs =
-                _mm_or_pd(_mm_and_pd(take, sv), _mm_andnot_pd(take, dgs));
-            __m128d cs = _mm_add_pd(_mm_loadu_pd(csum + r), c);
-            _mm_storeu_pd(csum + r, cs);
-            __m128d g = _mm_sub_pd(e, cs);
-            __m128d run = _mm_loadu_pd(running + r);
-            /* np.minimum.accumulate: strict < moves the argmin; a NaN
-             * g poisons a finite running minimum without moving it. */
-            __m128d nm = _mm_cmplt_pd(g, run);
-            __m128d po =
-                _mm_and_pd(_mm_cmpord_pd(run, run), _mm_cmpunord_pd(g, g));
-            __m128d adopt = _mm_or_pd(nm, po);
-            __m128d newrun =
-                _mm_or_pd(_mm_and_pd(adopt, g), _mm_andnot_pd(adopt, run));
-            _mm_storeu_pd(running + r, newrun);
-            __m128d srcv = _mm_castsi128_pd(
-                _mm_loadu_si128((const __m128i *)(src + r)));
-            srcv = _mm_or_pd(_mm_and_pd(nm, jv), _mm_andnot_pd(nm, srcv));
-            _mm_storeu_si128((__m128i *)(src + r), _mm_castpd_si128(srcv));
-            __m128d ssv = _mm_castsi128_pd(
-                _mm_loadu_si128((const __m128i *)(start_src + r)));
-            ssv = _mm_or_pd(_mm_and_pd(nm, vs), _mm_andnot_pd(nm, ssv));
-            _mm_storeu_si128((__m128i *)(start_src + r), _mm_castpd_si128(ssv));
-            _mm_storeu_pd(diag_d + r, v);
-            _mm_storeu_si128((__m128i *)(diag_s + r), _mm_castpd_si128(sv));
-            /* src == j exactly when this cell became the new minimum */
-            __m128d dnew = _mm_or_pd(
-                _mm_and_pd(nm, e), _mm_andnot_pd(nm, _mm_add_pd(cs, newrun)));
-            __m128i ssi = _mm_castpd_si128(ssv);
-            _mm_storel_pd(d0, dnew);
-            _mm_storel_epi64((__m128i *)s0, ssi);
-            if (r + 1 < na) { /* the last lane of an odd prefix is idle */
-                _mm_storeh_pd(d1, dnew);
-                _mm_storel_epi64((__m128i *)s1, _mm_unpackhi_epi64(ssi, ssi));
-            }
-        }
-    }
-#endif
 }
 
 /* Figure-4 report logic for one query row, identical decision order to
@@ -679,7 +607,7 @@ static int wake_rows(const int64_t *pp, int64_t *ap, const int64_t *rows,
                 ticks[r]++;
                 continue;
             }
-            row_sweep_one(pp, v, r);
+            sweep_block(pp, v, &r, 1);
             if (*dm <= eps[r] || *dm < best[r]) return 1;
         }
     }
@@ -874,24 +802,49 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-cext-{uid}")
 
 
-def _build_library(compiler: str) -> Tuple[ctypes.CDLL, str]:
-    """Compile (or reuse) the kernel shared object and load it."""
-    digest = hashlib.sha256(
-        (_SOURCE + "\0" + " ".join(_CFLAGS)).encode()
-    ).hexdigest()[:16]
+def _host_target() -> Tuple[Tuple[str, ...], str]:
+    """``-march=native`` and the CPU flag list (``/proc/cpuinfo``) that
+    names its object; no target flag and "" where the list is unread."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("flags"):
+                    return ("-march=native",), line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return (), ""
+
+
+def _object_name(target: Tuple[str, ...], cpu_flags: str) -> str:
+    """The cached shared object's file name: a digest of the source, the
+    flags and the CPU flag list, so an object built for a wider CPU is
+    never loaded on a narrower one sharing the cache."""
+    key = "\0".join((_SOURCE, " ".join((*_CFLAGS, *target)), cpu_flags))
+    return f"spring-kernels-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+
+
+def _build_library(
+    compiler: str, target: Tuple[str, ...] = (), cpu_flags: str = ""
+) -> Tuple[ctypes.CDLL, str]:
+    """Compile (or reuse) the kernel shared object for ``target`` and
+    load it.  A cache hit starts no subprocess.  A target flag the
+    compiler rejects builds the baseline width under the same name."""
     cache = _cache_dir()
     os.makedirs(cache, mode=0o700, exist_ok=True)
-    so_path = os.path.join(cache, f"spring-kernels-{digest}.so")
+    so_path = os.path.join(cache, _object_name(target, cpu_flags))
     if not os.path.exists(so_path):
-        src_path = os.path.join(cache, f"spring-kernels-{digest}.c")
+        src_path = so_path[: -len(".so")] + ".c"
         tmp_path = f"{so_path}.{os.getpid()}.tmp"
         with open(src_path, "w") as handle:
             handle.write(_SOURCE)
-        cmd = [compiler, *_CFLAGS, src_path, "-o", tmp_path, "-lm"]
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
-        )
-        if proc.returncode != 0:
+        for flags in dict.fromkeys(((*_CFLAGS, *target), _CFLAGS)):
+            cmd = [compiler, *flags, src_path, "-o", tmp_path, "-lm"]
+            proc = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=120
+            )
+            if proc.returncode == 0:
+                break
+        else:
             tail = (proc.stderr or proc.stdout or "").strip()[-400:]
             raise RuntimeError(f"kernel compilation failed: {tail}")
         os.replace(tmp_path, so_path)  # atomic under concurrent builds
@@ -900,19 +853,33 @@ def _build_library(compiler: str) -> Tuple[ctypes.CDLL, str]:
         detail = "reused cached build"
     lib = ctypes.CDLL(so_path)
     i64, f64 = ctypes.c_int64, ctypes.c_double
-    lib.spring_step_bank.restype = i64
-    lib.spring_step_bank.argtypes = [i64, f64]
-    lib.spring_extend_bank.restype = i64
-    lib.spring_extend_bank.argtypes = [i64, i64, i64, i64, i64]
-    lib.spring_extend_pruned.restype = i64
-    lib.spring_extend_pruned.argtypes = [i64, i64, i64, i64, i64]
-    lib.spring_bank_order.restype = None
-    lib.spring_bank_order.argtypes = [i64]
-    lib.spring_update_columns.restype = None
-    lib.spring_update_columns.argtypes = [i64] * 8
-    lib.spring_update_column.restype = None
-    lib.spring_update_column.argtypes = [i64] * 7
-    return lib, f"{detail} ({so_path})"
+    for name, restype, argtypes in (
+        ("spring_lanes", i64, []),
+        ("spring_step_bank", i64, [i64, f64]),
+        ("spring_extend_bank", i64, [i64] * 5),
+        ("spring_extend_pruned", i64, [i64] * 5),
+        ("spring_bank_order", None, [i64]),
+        ("spring_update_columns", None, [i64] * 8),
+        ("spring_update_column", None, [i64] * 7),
+    ):
+        getattr(lib, name).restype = restype
+        getattr(lib, name).argtypes = argtypes
+    return lib, f"{detail}, {lib.spring_lanes()} lanes ({so_path})"
+
+
+def _param_block(kind: int, arrays) -> np.ndarray:
+    """A bank kernel's parameter block: the distance kind, the bank's
+    shape (read off its distance columns) and the base address of every
+    ``(slot, array)`` pair."""
+    pp = np.zeros(_PP_SLOTS, dtype=np.int64)
+    pp[_PP_KIND] = kind
+    for slot, arr in arrays:
+        if not arr.flags["C_CONTIGUOUS"]:  # pragma: no cover - invariant
+            raise ValidationError("bank kernel requires contiguous arrays")
+        pp[slot] = arr.ctypes.data
+        if slot == _PP_D:
+            pp[_PP_Q], pp[_PP_MMAX] = arr.shape[0], arr.shape[1] - 1
+    return pp
 
 
 def _self_test(backend: "CExtBackend") -> None:
@@ -962,6 +929,45 @@ def _self_test(backend: "CExtBackend") -> None:
     got_d[np.isnan(got_d)] = np.nan
     if want_d.tobytes() != got_d.tobytes() or want_s.tobytes() != got_s.tobytes():
         raise RuntimeError("compiled column update diverges from numpy")
+    _sweep_self_test(backend._lib)
+
+
+def _sweep_self_test(lib: ctypes.CDLL) -> None:
+    """Step a small ragged bank through the compiled sweep and compare
+    its columns and ticks byte for byte against the NumPy reference.
+
+    Five rows (a multiple of no lane count, so the last block has idle
+    lanes) of lengths 6, 1, 4, 6, 2 start from ties and ``+inf`` resets
+    beside padded cells.  ε is ``-inf``: nothing is captured or reset.
+    """
+    lengths = np.array([6, 1, 4, 6, 2], dtype=np.int64)
+    q, width = lengths.shape[0], int(lengths.max()) + 1
+    pad = np.arange(width) > lengths[:, None]
+    cells = np.arange(q * width).reshape(q, width)
+    y = np.where(pad[:, 1:], 0.0, cells[:, 1:] % 3 * 0.5)
+    d = np.where(pad | (cells % 4 == 1), np.inf, cells % 5 * 0.25)
+    s = np.where(pad, 0, cells % 6)
+    ticks = lengths + 3
+    held = np.full((2, q), np.inf)  # held optimum, best-so-far
+    ends = np.zeros((4, q), dtype=np.int64)
+    pp = _param_block(_KIND_CODES["squared"], (
+        (_PP_Y, y), (_PP_MLEN, lengths), (_PP_EPS, np.full(q, -np.inf)),
+        (_PP_D, d), (_PP_S, s), (_PP_TICKS, ticks),
+        (_PP_DMIN, held[0]), (_PP_BEST_D, held[1]), (_PP_TS, ends[0]),
+        (_PP_TE, ends[1]), (_PP_BEST_S, ends[2]), (_PP_BEST_E, ends[3]),
+        (_PP_ORDER, np.empty(2 * q, dtype=np.int64)),
+        (_PP_COUNTS, np.empty(width, dtype=np.int64)),
+    ))
+    want_d, want_s, want_t = d.copy(), s.copy(), ticks.copy()
+    lib.spring_bank_order(pp.ctypes.data)
+    for x in (0.5, -1.0, 1.5):
+        lib.spring_step_bank(pp.ctypes.data, x)
+        want_t = want_t + 1
+        want_d, want_s = update_columns(want_d, want_s, (x - y) ** 2, want_t)
+        want_d[pad], want_s[pad] = np.inf, 0
+    for got, want in ((d, want_d), (s, want_s), (ticks, want_t)):
+        if got.tobytes() != want.tobytes():
+            raise RuntimeError("compiled bank sweep diverges from numpy")
 
 
 def _address(arr: np.ndarray, dtype, size: Optional[int] = None) -> int:
@@ -990,8 +996,8 @@ class _CExtBankKernel(BankKernel):
     """
 
     __slots__ = (
-        "_lib", "_q", "_pp", "_pp_addr", "_scr_f", "_scr_i", "_yt",
-        "_order", "_active", "_ap", "_ap_addr", "_scr_adm", "_cascade",
+        "_lib", "_q", "_pp", "_pp_addr", "_order", "_counts",
+        "_ap", "_ap_addr", "_scr_adm", "_cascade",
         "_ring", "_index",
         "_emit_q", "_emit_d", "_emit_ts", "_emit_te", "_emit_t",
     )
@@ -1015,48 +1021,36 @@ class _CExtBankKernel(BankKernel):
         self._emit_t = np.empty(cap, dtype=np.int64)
         self._lib = backend._lib
         self._q = bank.q
-        self._scr_f = np.empty(3 * (bank.q + 1), dtype=np.float64)
-        self._scr_i = np.empty(3 * (bank.q + 1), dtype=np.int64)
-        # Transposed copy of the (zero-padded) query bank for the
-        # vectorised column sweep: adjacent rows sit in adjacent lanes.
-        self._yt = np.ascontiguousarray(bank.padded[:, :, 0].T)
         # Sweep order, longest query first: the whole bank's (computed
         # below, once) and scratch for each tick's hot subset.
-        self._order = np.empty(2 * (bank.q + 1), dtype=np.int64)
-        self._active = np.empty(2 * (bank.m_max + 1), dtype=np.int64)
-        pp = np.zeros(_PP_SLOTS, dtype=np.int64)
-        pp[_PP_KIND] = _KIND_CODES[engine._prune_kind]
-        pp[_PP_Q] = bank.q
-        pp[_PP_MMAX] = bank.m_max
+        self._order = np.empty(2 * bank.q, dtype=np.int64)
+        self._counts = np.empty(bank.m_max + 1, dtype=np.int64)
         # Addresses are cached for the kernel's lifetime: the engine
         # never rebinds its master arrays while a kernel is attached.
-        for slot, arr in (
-            (_PP_Y, bank.padded),
-            (_PP_MLEN, bank.lengths),
-            (_PP_EPS, bank.epsilons),
-            (_PP_D, engine._d),
-            (_PP_S, engine._s),
-            (_PP_TICKS, engine._ticks),
-            (_PP_DMIN, engine._dmin),
-            (_PP_TS, engine._ts),
-            (_PP_TE, engine._te),
-            (_PP_BEST_D, engine._best_d),
-            (_PP_BEST_S, engine._best_s),
-            (_PP_BEST_E, engine._best_e),
-            (_PP_EMIT_Q, self._emit_q),
-            (_PP_EMIT_D, self._emit_d),
-            (_PP_EMIT_TS, self._emit_ts),
-            (_PP_EMIT_TE, self._emit_te),
-            (_PP_EMIT_T, self._emit_t),
-            (_PP_SCR_F, self._scr_f),
-            (_PP_SCR_I, self._scr_i),
-            (_PP_YT, self._yt),
-            (_PP_ORDER, self._order),
-            (_PP_ACTIVE, self._active),
-        ):
-            if not arr.flags["C_CONTIGUOUS"]:  # pragma: no cover - invariant
-                raise ValidationError("bank kernel requires contiguous arrays")
-            pp[slot] = arr.ctypes.data
+        pp = _param_block(
+            _KIND_CODES[engine._prune_kind],
+            (
+                (_PP_Y, bank.padded),
+                (_PP_MLEN, bank.lengths),
+                (_PP_EPS, bank.epsilons),
+                (_PP_D, engine._d),
+                (_PP_S, engine._s),
+                (_PP_TICKS, engine._ticks),
+                (_PP_DMIN, engine._dmin),
+                (_PP_TS, engine._ts),
+                (_PP_TE, engine._te),
+                (_PP_BEST_D, engine._best_d),
+                (_PP_BEST_S, engine._best_s),
+                (_PP_BEST_E, engine._best_e),
+                (_PP_EMIT_Q, self._emit_q),
+                (_PP_EMIT_D, self._emit_d),
+                (_PP_EMIT_TS, self._emit_ts),
+                (_PP_EMIT_TE, self._emit_te),
+                (_PP_EMIT_T, self._emit_t),
+                (_PP_ORDER, self._order),
+                (_PP_COUNTS, self._counts),
+            ),
+        )
         pp[_PP_EMIT_CAP] = self.emit_capacity
         self._pp = pp  # keeps the block alive; addresses stay valid
         self._pp_addr = int(pp.ctypes.data)
@@ -1201,6 +1195,8 @@ class CExtBackend(KernelBackend):
     def __init__(self, lib: ctypes.CDLL, warmup_seconds: float) -> None:
         self._lib = lib
         self.warmup_seconds = float(warmup_seconds)
+        #: Rows the bank sweep steps per vector block (the target's width).
+        self.lanes = int(lib.spring_lanes())
 
     def update_column(self, state: SpringState, cost: np.ndarray, tick: int) -> None:
         cost = np.ascontiguousarray(cost, dtype=np.float64)
@@ -1256,7 +1252,7 @@ def probe() -> Tuple[Optional[CExtBackend], str]:
         return None, "no C compiler found (tried $REPRO_CC, cc, gcc, clang)"
     started = perf_counter()
     try:
-        lib, detail = _build_library(compiler)
+        lib, detail = _build_library(compiler, *_host_target())
         backend = CExtBackend(lib, warmup_seconds=perf_counter() - started)
         _self_test(backend)
     except Exception as exc:

@@ -596,12 +596,12 @@ def _pump_events(event_queue, inbox) -> None:
 
     Runs as a supervisor-side daemon thread.  Each incarnation gets its
     own event queue precisely so that a worker SIGKILLed mid-send can
-    only wedge (or tear) *its own* pipe: a ``multiprocessing.Queue``
-    write lock held by a killed feeder thread is poisoned forever, and
-    on a queue shared between workers that silently blocks every other
-    worker's feeder — heartbeats and acks stop, recovery stalls, and
-    the run dies on the drain timeout.  Here the blast radius is the
-    dead incarnation's queue, which the supervisor discards on respawn.
+    only wedge (or tear) *its own* pipe: a queue's write lock held by a
+    killed worker is poisoned forever, and on a queue shared between
+    workers that silently blocks every other worker's sends —
+    heartbeats and acks stop, recovery stalls, and the run dies on the
+    drain timeout.  Here the blast radius is the dead incarnation's
+    queue, which the supervisor discards on respawn.
 
     The thread exits when the queue reaches end-of-file: the supervisor
     closes its own write end on discard, so EOF fires once the worker
@@ -1188,11 +1188,14 @@ class ShardedMonitor:
             "fault": self.fault_injector,
         }
         # Fresh queues per incarnation: the previous incarnation may
-        # have died holding its event queue's feeder lock, or left a
+        # have died holding its event queue's write lock, or left a
         # torn message in the pipe — either would wedge a reused queue
         # forever (_on_death has discarded and drained the old one).
+        # Events travel without a feeder thread: a worker's put returns
+        # once the message is in the pipe, so a checkpoint saved after
+        # it never counts events a kill could still drop.
         handle.queue = self._ctx.Queue()
-        handle.event_queue = self._ctx.Queue()
+        handle.event_queue = self._ctx.SimpleQueue()
         handle.hello = False
         handle.last_hb = time.monotonic()
         handle.process = self._ctx.Process(

@@ -14,12 +14,19 @@ exists — nothing here is environment-specific.
 from __future__ import annotations
 
 import json
+import platform
 
 import numpy as np
 import pytest
 
 from repro.core import FusedSpring, Spring, StreamMonitor
-from repro.core.backends import BankKernel, available_backends, resolve_backend
+from repro.core.backends import (
+    BankKernel,
+    available_backends,
+    backend_infos,
+    cext,
+    resolve_backend,
+)
 from repro.core.checkpoint import dump_monitor_json, save_monitor
 from repro.core.state import SpringState, update_column, update_columns
 
@@ -372,6 +379,172 @@ def test_ragged_bank_columns_match_numpy_bytewise():
         assert emitted == want_emitted, label
         assert d.tobytes() == want_d.tobytes(), label
         assert s.tobytes() == want_s.tobytes(), label
+
+
+# ----------------------------------------------------------------------
+# the compiled sweep: one source, built for each vector width
+# ----------------------------------------------------------------------
+
+#: Rows of the wide bank, a multiple of no lane count; lengths 1..33.
+WIDE_ROWS = 67
+#: The wide bank's queries sit at this many levels, 10 apart.
+WIDE_LEVELS = 5
+
+
+def _wide_springs():
+    springs = []
+    for i in range(WIDE_ROWS):
+        m = 1 + i % 33
+        shape = 10.0 * (i % WIDE_LEVELS) + 0.05 * np.sin(np.arange(m) + i)
+        springs.append(Spring(shape, epsilon=1.0))
+    return springs
+
+
+def _wide_stream():
+    """An arming run at every level, then one level per tick, never one
+    of the last two: the rows at the new level wake and the rows the
+    last tick reported park, so the hot subset changes every tick."""
+    rng = np.random.default_rng(67)
+    arm = [10.0 * lv + 0.02 * np.sin(t)
+           for lv in range(WIDE_LEVELS) for t in range(36)]
+    tail, recent = [], [WIDE_LEVELS - 2, WIDE_LEVELS - 1]
+    for _ in range(150):
+        lv = int(rng.choice([v for v in range(WIDE_LEVELS) if v not in recent]))
+        recent = [recent[1], lv]
+        tail.append(10.0 * lv + float(rng.normal(0.0, 0.03)))
+    return arm, tail
+
+
+def _wide_snapshots(backend):
+    """Drive the wide bank pruned one tick per call, then unpruned in
+    7-tick batches; after each call, snapshot ``(label, d, s,
+    emissions)``."""
+    arm, tail = _wide_stream()
+
+    def snap(label, engine, emitted):
+        return (
+            label,
+            engine._d.copy(),
+            engine._s.copy(),
+            [(qi, m.start, m.end, m.distance, m.output_time) for qi, m in emitted],
+        )
+
+    out = []
+    engine = FusedSpring.from_springs(
+        _wide_springs(), backend=backend, prune_buffer=64
+    )
+    out.append(snap("pruned arm", engine, engine.extend(arm)))
+    for t, value in enumerate(tail):
+        parked = engine.parked.copy()
+        out.append(snap(f"pruned t={t}", engine, engine.extend([value])))
+        assert not np.array_equal(engine.parked, parked), t
+    assert engine.replays > 0
+    engine = FusedSpring.from_springs(_wide_springs(), backend=backend)
+    stream = arm + tail
+    for t in range(0, len(stream), 7):
+        out.append(snap(f"dense t={t}", engine, engine.extend(stream[t:t + 7])))
+    return out
+
+
+def _sweep_widths():
+    """The embedded kernel source built at the baseline width (no
+    target flag) and for this host's vector width."""
+    compiler = cext._find_compiler()
+    return [
+        cext.CExtBackend(cext._build_library(compiler, *target)[0], 0.0)
+        for target in ((), cext._host_target())
+    ]
+
+
+needs_cc = pytest.mark.skipif(
+    cext._find_compiler() is None, reason="no C compiler found"
+)
+needs_cext = pytest.mark.skipif(
+    "cext" not in BACKENDS, reason="cext unavailable: no C compiler found"
+)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "drive", [_ragged_snapshots, _wide_snapshots], ids=["ragged", "wide"]
+)
+def test_sweep_widths_match_numpy_bytewise(drive):
+    """Both widths step every drive to numpy's columns and emissions,
+    so they match each other byte for byte after every call."""
+    baseline, host = _sweep_widths()
+    if platform.machine() in ("x86_64", "AMD64"):
+        assert baseline.lanes == 2
+    want = drive("numpy")
+    for backend in (baseline, host):
+        got = drive(backend)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        for (label, d, s, emitted), (_, want_d, want_s, want_emitted) in zip(
+            got, want
+        ):
+            where = (backend.lanes, label)
+            assert emitted == want_emitted, where
+            assert d.tobytes() == want_d.tobytes(), where
+            assert s.tobytes() == want_s.tobytes(), where
+
+
+@needs_cext
+def test_host_build_has_four_lanes_exactly_with_avx2():
+    _, cpu_flags = cext._host_target()
+    backend = resolve_backend("cext")
+    assert backend.lanes == (4 if "avx2" in cpu_flags.split() else 2)
+    (info,) = [i for i in backend_infos() if i.name == "cext"]
+    assert f", {backend.lanes} lanes (" in info.detail
+
+
+def test_cpu_flag_list_names_the_cached_object():
+    """An object built for one CPU is never loaded on another: the flag
+    list is part of the cached object's name."""
+    native = ("-march=native",)
+    names = {
+        cext._object_name((), ""),
+        cext._object_name(native, "fpu sse2"),
+        cext._object_name(native, "fpu sse2 avx2"),
+    }
+    assert len(names) == 3
+
+
+@needs_cext
+def test_cache_hit_starts_no_subprocess(monkeypatch):
+    resolve_backend("cext")  # built or reused by the probe
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a cache hit started a subprocess")
+
+    monkeypatch.setattr(cext.subprocess, "run", no_subprocess)
+    _, detail = cext._build_library(cext._find_compiler(), *cext._host_target())
+    assert detail.startswith("reused cached build")
+
+
+#: Source edits that break the sweep: a lane storing while only the lane
+#: before it has the cell, and padding lanes bumping the last row's tick.
+SWEEP_MUTATIONS = {
+    "store-one-lane-past": (
+        "            if (j < m[k]) {",
+        "            if (j < m[k] || (k > 0 && j < m[k - 1])) {",
+    ),
+    "padding-lane-tick": (
+        "    for (int k = 0; k < live; k++) {\n",
+        "    for (int k = live; k < LANES; k++) ticks[ord[live - 1]]++;\n"
+        "    for (int k = 0; k < live; k++) {\n",
+    ),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("mutation", sorted(SWEEP_MUTATIONS))
+def test_self_test_rejects_a_mutated_sweep(mutation, monkeypatch, tmp_path):
+    old, new = SWEEP_MUTATIONS[mutation]
+    assert cext._SOURCE.count(old) == 1
+    monkeypatch.setattr(cext, "_SOURCE", cext._SOURCE.replace(old, new))
+    monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+    backend, detail = cext.probe()
+    assert backend is None
+    assert "compiled bank sweep diverges from numpy" in detail
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,58 @@ class TestKillAtAnyTick:
         assert report.events == expected
 
     @pytest.mark.slow
+    def test_events_a_checkpoint_counts_survive_a_kill(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint counts only events already in the pipe.  With 200
+        wide queries every push emits a large events message, a pump
+        that holds each one lets them fill the pipe, and the worker is
+        killed while it still has events to send: a unit that saved a
+        checkpoint counting events it had only buffered would never
+        re-emit them after the restart."""
+
+        def slow_pump(event_queue, inbox):
+            while True:
+                try:
+                    message = event_queue.get()
+                except Exception:  # noqa: BLE001 - EOF or torn payload
+                    return
+                if message[0] == "events":
+                    time.sleep(0.05)
+                inbox.put(message)
+
+        monkeypatch.setattr(shard, "_pump_events", slow_pump)
+        rng = np.random.default_rng(4321)
+        queries = {
+            f"q{i}": (rng.standard_normal(4 + i % 8).cumsum(), 50.0)
+            for i in range(200)
+        }
+        _, streams = _workload()
+        expected = _expected(queries, streams)
+        sharded = ShardedMonitor(
+            shards=2,
+            backend="numpy",
+            heartbeat_interval=0.05,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=CHECKPOINT_EVERY,
+            fault_injector=WorkerFaultInjector(kill={0: ("s0", 113)}),
+        )
+        for name, (query, eps) in queries.items():
+            sharded.add_query(name, query, eps)
+        for name in streams:
+            sharded.add_stream(name)
+        with sharded:
+            sharded.start()
+            for off in range(0, 180, 6):
+                for name, values in streams.items():
+                    sharded.push_many(name, values[off:off + 6])
+                time.sleep(0.02)
+            report = sharded.finish(flush=True)
+        assert report.restarts == 1
+        assert len(report.events) == len(expected)
+        assert report.events == expected
+
+    @pytest.mark.slow
     @pytest.mark.parametrize(
         "kill_tick",
         # Boundary-adjacent positions around the checkpoint cadence
